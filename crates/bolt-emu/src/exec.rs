@@ -1423,7 +1423,9 @@ impl Machine {
     /// observationally identical per instruction (same memory, branch,
     /// output, and exit behavior through the sink), but with operands
     /// pre-resolved and flag writes deferred into [`LazyFlags`] (and
-    /// skipped entirely when provably dead).
+    /// skipped entirely when provably dead). Inlined into its only
+    /// caller, the uop hot loop.
+    #[inline(always)]
     fn exec_uop<S: TraceSink + ?Sized>(
         &mut self,
         rip: u64,

@@ -51,32 +51,44 @@ impl Memory {
         Memory::default()
     }
 
-    /// Resolves a page number to its arena slot, if resident.
-    #[inline]
+    /// Resolves a page number to its arena slot, if resident. The memo
+    /// hit is inlined into every accessor; the hash lookup is not.
+    #[inline(always)]
     fn page_slot(&self, page_no: u64) -> Option<u32> {
         let way = (page_no as usize) & (MEMO_WAYS - 1);
         let (memo_no, slot) = self.memo[way].get();
         if memo_no == page_no {
             return Some(slot);
         }
+        self.page_slot_indexed(page_no)
+    }
+
+    /// The memo-miss half of [`page_slot`](Memory::page_slot).
+    #[inline(never)]
+    fn page_slot_indexed(&self, page_no: u64) -> Option<u32> {
         let slot = *self.index.get(&page_no)?;
-        self.memo[way].set((page_no, slot));
+        self.memo[(page_no as usize) & (MEMO_WAYS - 1)].set((page_no, slot));
         Some(slot)
     }
 
+    #[inline(always)]
     fn page_mut(&mut self, addr: u64) -> &mut [u8; PAGE_SIZE as usize] {
         let page_no = addr >> PAGE_SHIFT;
         let slot = match self.page_slot(page_no) {
             Some(s) => s,
-            None => {
-                let s = self.pages.len() as u32;
-                self.pages.push(Box::new([0; PAGE_SIZE as usize]));
-                self.index.insert(page_no, s);
-                self.memo[(page_no as usize) & (MEMO_WAYS - 1)].set((page_no, s));
-                s
-            }
+            None => self.map_page(page_no),
         };
         &mut self.pages[slot as usize]
+    }
+
+    /// Allocates a zeroed page for `page_no` (not yet resident).
+    #[inline(never)]
+    fn map_page(&mut self, page_no: u64) -> u32 {
+        let s = self.pages.len() as u32;
+        self.pages.push(Box::new([0; PAGE_SIZE as usize]));
+        self.index.insert(page_no, s);
+        self.memo[(page_no as usize) & (MEMO_WAYS - 1)].set((page_no, s));
+        s
     }
 
     /// Reads one byte (unmapped memory reads as zero).
@@ -133,7 +145,7 @@ impl Memory {
 
     /// Reads a little-endian u64. Accesses inside one page (the hot
     /// case: stack slots, aligned data) skip the chunking loop.
-    #[inline]
+    #[inline(always)]
     pub fn read_u64(&self, addr: u64) -> u64 {
         let off = (addr & PAGE_MASK) as usize;
         if off <= PAGE_SIZE as usize - 8 {
@@ -151,7 +163,7 @@ impl Memory {
 
     /// Writes a little-endian u64 (single-page fast path like
     /// [`read_u64`](Memory::read_u64)).
-    #[inline]
+    #[inline(always)]
     pub fn write_u64(&mut self, addr: u64, v: u64) {
         let off = (addr & PAGE_MASK) as usize;
         if off <= PAGE_SIZE as usize - 8 {

@@ -3,6 +3,9 @@
 
 use bolt_emu::{BranchEvent, BranchKind};
 
+/// Return-address stack depth.
+const RAS_DEPTH: usize = 32;
+
 /// The outcome of observing one branch.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BranchOutcome {
@@ -32,8 +35,12 @@ pub struct BranchPredictor {
     history_bits: u32,
     /// BTB: (tag, target) per entry, direct-mapped.
     btb: Vec<(u64, u64)>,
-    ras: Vec<u64>,
-    ras_max: usize,
+    /// Return-address stack as a ring: the newest of its `ras_len`
+    /// entries sits just below `ras_top` (modulo the depth), and a push
+    /// onto a full stack overwrites the oldest.
+    ras: [u64; RAS_DEPTH],
+    ras_top: usize,
+    ras_len: usize,
     pub cond_branches: u64,
     pub cond_mispredicts: u64,
     pub btb_fetch_misses: u64,
@@ -53,8 +60,9 @@ impl BranchPredictor {
             history: 0,
             history_bits,
             btb: vec![(u64::MAX, 0); btb_entries],
-            ras: Vec::new(),
-            ras_max: 32,
+            ras: [0; RAS_DEPTH],
+            ras_top: 0,
+            ras_len: 0,
             cond_branches: 0,
             cond_mispredicts: 0,
             btb_fetch_misses: 0,
@@ -145,7 +153,7 @@ impl BranchPredictor {
                 self.returns += 1;
                 // A return is predicted correctly iff the RAS top matches
                 // the call site it returns past.
-                let predicted = self.ras.pop();
+                let predicted = self.pop_ras();
                 // `ev.to` is the return address = call site + call length;
                 // accept any target within 16 bytes of the recorded call.
                 let ok = predicted
@@ -171,10 +179,18 @@ impl BranchPredictor {
     }
 
     fn push_ras(&mut self, call_pc: u64) {
-        if self.ras.len() == self.ras_max {
-            self.ras.remove(0);
+        self.ras[self.ras_top] = call_pc;
+        self.ras_top = (self.ras_top + 1) % RAS_DEPTH;
+        self.ras_len = (self.ras_len + 1).min(RAS_DEPTH);
+    }
+
+    fn pop_ras(&mut self) -> Option<u64> {
+        if self.ras_len == 0 {
+            return None;
         }
-        self.ras.push(call_pc);
+        self.ras_len -= 1;
+        self.ras_top = (self.ras_top + RAS_DEPTH - 1) % RAS_DEPTH;
+        Some(self.ras[self.ras_top])
     }
 
     /// Total mispredictions across branch classes (flushes only, not BTB
@@ -271,6 +287,35 @@ mod tests {
         let ev2 = BranchEvent { to: 0x400900, ..ev };
         assert!(p.observe(ev2).mispredicted);
         assert_eq!(p.ind_mispredicts, 2);
+    }
+
+    /// Nesting deeper than the 32-entry RAS drops the oldest entries:
+    /// of 40 nested returns the innermost 32 are predicted and the outer
+    /// 8 miss. A second round after the stack drained behaves the same.
+    #[test]
+    fn ras_overflow_drops_oldest() {
+        let mut p = BranchPredictor::default();
+        let site = |i: u64| 0x400000 + i * 0x100;
+        for _ in 0..2 {
+            for i in 0..40 {
+                p.observe(BranchEvent {
+                    from: site(i),
+                    to: site(i + 1) + 0x80,
+                    taken: true,
+                    kind: BranchKind::Call,
+                });
+            }
+            for i in (0..40).rev() {
+                p.observe(BranchEvent {
+                    from: site(i + 1) + 0xF0,
+                    to: site(i) + 5,
+                    taken: true,
+                    kind: BranchKind::Return,
+                });
+            }
+        }
+        assert_eq!(p.returns, 80);
+        assert_eq!(p.return_mispredicts, 16);
     }
 
     #[test]

@@ -60,18 +60,27 @@ impl Cache {
     }
 
     /// Accesses the line containing `addr`; returns `true` on hit.
+    ///
+    /// Inlined for the memoized repeat-line hit; the set scan and the
+    /// LRU eviction stay out of line.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         let line = addr >> self.line_shift;
+        self.tick += 1;
+        self.accesses += 1;
         if line == self.last_line {
-            // Memoized fast path: identical bookkeeping to a slow-path
-            // hit (tick, access count, LRU stamp), minus the set scan.
-            self.tick += 1;
-            self.accesses += 1;
+            // Memoized fast path: identical bookkeeping to a scanned hit
+            // (tick, access count, LRU stamp), minus the set scan.
             self.stamps[self.last_slot] = self.tick;
             return true;
         }
-        self.tick += 1;
-        self.accesses += 1;
+        self.access_scan(line)
+    }
+
+    /// The set-scan half of [`Cache::access`] (tick and access count
+    /// already bumped).
+    #[inline(never)]
+    fn access_scan(&mut self, line: u64) -> bool {
         let set = (line as usize) & (self.sets - 1);
         let base = set * self.ways;
         let slots = &mut self.tags[base..base + self.ways];

@@ -188,6 +188,20 @@ pub struct CpuModel {
     pub predictor: BranchPredictor,
     instructions: u64,
     extra_cycles: f64,
+    /// Scratch for [`TraceSink::on_block`]: the block's I-side misses,
+    /// each tagged with the index of the first instruction that touches
+    /// its page or line. Empty between calls.
+    pending: Vec<(u32, IMiss)>,
+}
+
+/// An I-side miss whose penalty [`TraceSink::on_block`] defers to its
+/// step-engine position. The derived order puts an instruction's iTLB
+/// miss before its L1I misses, and its lines in ascending order, the
+/// order [`TraceSink::on_inst`] charges them in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum IMiss {
+    Itlb,
+    L1i(u64),
 }
 
 impl CpuModel {
@@ -210,13 +224,13 @@ impl CpuModel {
             predictor: BranchPredictor::new(cfg.predictor_history_bits, cfg.btb_entries),
             instructions: 0,
             extra_cycles: 0.0,
+            pending: Vec::new(),
             cfg,
         }
     }
 
-    fn miss_path(&mut self, addr: u64, from_l1i: bool) -> f64 {
+    fn miss_path(&mut self, addr: u64) -> f64 {
         // L1 missed; walk L2 -> LLC -> memory.
-        let _ = from_l1i;
         if self.l2.access(addr) {
             self.cfg.l2_latency
         } else if self.llc.access(addr) {
@@ -226,103 +240,12 @@ impl CpuModel {
         }
     }
 
-    /// The interleaved-walk half of [`TraceSink::on_block`]: charges a
-    /// superblock event whose fetch and memory records interleave by
-    /// instruction index, in exact program order. First touches of
-    /// I-side pages/lines are probed at their step-engine positions
-    /// (so shared L2/LLC levels see the same probe order); repeat
-    /// fetches and consecutive same-line D-side accesses — guaranteed
-    /// most-recently-used hits whose re-stamp cannot change any LRU
-    /// decision — are bulk-counted without a cache walk.
-    fn on_superblock(&mut self, ev: BlockEvent<'_>) {
-        // Same-line ⇒ same-page needs pages no smaller than lines.
-        if self.cfg.page_bytes < 64 {
-            ev.replay(self);
-            return;
-        }
-        self.instructions += ev.inst_count as u64;
-        let page_mask = !(self.cfg.page_bytes - 1);
-        // Last-probed I-side line/page (fetches ascend, so `!=` means
-        // first touch); invalid sentinels make the first fetch probe.
-        let mut cur_line = u64::MAX;
-        let mut cur_page = u64::MAX;
-        let mut itlb_bulk = 0u64;
-        let mut l1i_bulk = 0u64;
-        // Two-slot memo of recently *charged* non-crossing D-side lines
-        // (`d1` newest). A repeat of `d1` is a guaranteed
-        // most-recently-used hit in both L1D and dTLB. A repeat of `d2`
-        // is equally guaranteed when `d1` provably lives in a different
-        // L1D set and a different dTLB set — then `d2` is still the
-        // newest access within each of its own sets, and skipping its
-        // re-stamp cannot change any LRU decision (recency *order*
-        // within every set is preserved). This covers the alternating
-        // stack-line/data-line pattern of typical straight-line code.
-        let mut d1 = u64::MAX;
-        let mut d2 = u64::MAX;
-        let l1d_set_mask = (self.l1d.sets() - 1) as u64;
-        let dtlb_set_mask = (self.dtlb.sets() - 1) as u64;
-        let page_shift = self.cfg.page_bytes.trailing_zeros();
-        let distinct_sets = |a: u64, b: u64| {
-            ((a >> 6) & l1d_set_mask) != ((b >> 6) & l1d_set_mask)
-                && ((a >> page_shift) & dtlb_set_mask) != ((b >> page_shift) & dtlb_set_mask)
+    /// Adds a deferred I-side miss penalty (see [`TraceSink::on_block`]).
+    fn charge_i(&mut self, charge: IMiss) {
+        self.extra_cycles += match charge {
+            IMiss::Itlb => self.cfg.tlb_miss_latency,
+            IMiss::L1i(line) => self.miss_path(line),
         };
-        let mut d_bulk = 0u64;
-        let mut mi = 0usize;
-        for (i, &(addr, len)) in ev.fetches.iter().enumerate() {
-            let page = addr & page_mask;
-            if page != cur_page {
-                if !self.itlb.access(page) {
-                    self.extra_cycles += self.cfg.tlb_miss_latency;
-                }
-                cur_page = page;
-            } else {
-                itlb_bulk += 1;
-            }
-            let la = (addr >> 6) << 6;
-            if la != cur_line {
-                if !self.l1i.access(la) {
-                    self.extra_cycles += self.miss_path(la, true);
-                }
-                cur_line = la;
-            } else {
-                l1i_bulk += 1;
-            }
-            let le = ((addr + len as u64 - 1) >> 6) << 6;
-            if le != la {
-                // A crossing fetch's second line is always a first
-                // touch (lines ascend strictly once left).
-                if !self.l1i.access(le) {
-                    self.extra_cycles += self.miss_path(le, true);
-                }
-                cur_line = le;
-            }
-            while let Some(m) = ev.mems.get(mi) {
-                if m.inst as usize != i {
-                    break;
-                }
-                mi += 1;
-                let dl = (m.addr >> 6) << 6;
-                let crosses = ((m.addr + m.len.max(1) as u64 - 1) >> 6) << 6 != dl;
-                if !crosses && (dl == d1 || (dl == d2 && distinct_sets(d1, d2))) {
-                    d_bulk += 1;
-                } else {
-                    self.on_mem(m.addr, m.len, m.write);
-                    if crosses {
-                        // The crossing touched two lines; neither slot
-                        // can claim MRU safely any more.
-                        d1 = u64::MAX;
-                        d2 = u64::MAX;
-                    } else if dl != d1 {
-                        d2 = d1;
-                        d1 = dl;
-                    }
-                }
-            }
-        }
-        self.itlb.accesses += itlb_bulk;
-        self.l1i.accesses += l1i_bulk;
-        self.l1d.accesses += d_bulk;
-        self.dtlb.accesses += d_bulk;
     }
 
     /// Current counter snapshot.
@@ -352,7 +275,7 @@ impl TraceSink for CpuModel {
             self.extra_cycles += self.cfg.tlb_miss_latency;
         }
         if !self.l1i.access(addr) {
-            self.extra_cycles += self.miss_path(addr, true);
+            self.extra_cycles += self.miss_path(addr);
         }
         // A fetch crossing a line boundary touches the next line too.
         let end = addr + len as u64 - 1;
@@ -360,54 +283,57 @@ impl TraceSink for CpuModel {
             != addr >> self.cfg.line_bytes.trailing_zeros()
             && !self.l1i.access(end)
         {
-            self.extra_cycles += self.miss_path(end, true);
+            self.extra_cycles += self.miss_path(end);
         }
     }
 
     /// Charges a translated block's whole footprint in one call.
     ///
     /// Byte-identical to replaying the event's interleaved
-    /// [`on_inst`]/[`on_mem`] sequence. The I-side argument: a
-    /// straight-line block's fetch stream touches pages and lines in
-    /// monotone non-decreasing order, so every repeat access is a
-    /// guaranteed most-recently-used hit with no penalty and no
-    /// LRU-order effect — only the first touch of each distinct
-    /// page/line can miss, and D-side accesses in between touch
-    /// *different* structures (L1D/dTLB) so they cannot disturb it.
-    /// The block engine's events carry no memory records and take the
-    /// pure-I-side bulk path; the superblock engine's interleaved
-    /// records are walked in exact program order (each probe lands at
-    /// its step-engine position relative to the shared L2/LLC levels),
-    /// with the same bulk treatment applied to repeat fetches and to
-    /// consecutive same-line D-side accesses (a push/pop run, a hot
-    /// spill slot) — the D-side footprint charged in bulk the way the
-    /// I-side already is.
+    /// [`on_inst`]/[`on_mem`] sequence, cache state and the order of the
+    /// `extra_cycles` additions included. The I-side is charged per
+    /// line: a straight-line block's fetch stream touches pages and lines
+    /// in ascending order, so only the first touch of each page (iTLB)
+    /// and each entry of `lines64` (L1I) is probed, and every repeat
+    /// access is a guaranteed most-recently-used hit with no penalty and
+    /// no LRU-order effect, bulk-counted. iTLB and L1I see only I-side
+    /// accesses, so probing them ahead of the D-side records cannot
+    /// change any of their decisions. The one shared path is an L1I
+    /// miss's walk of L2/LLC: those probes (and every penalty) are
+    /// deferred to the instruction that first touches the missed page
+    /// or line, found by a search that runs only on a miss. The D-side
+    /// records are then walked in program order, and before the records
+    /// of instruction *i* every deferred miss first touched at or before
+    /// *i* is charged — exactly where the step engine charges it, so
+    /// L2/LLC see the same probe order. Consecutive D-side accesses to
+    /// a guaranteed most-recently-used line (a push/pop run, a hot spill
+    /// slot) are bulk-counted through a two-line memo.
     ///
     /// [`on_inst`]: TraceSink::on_inst
     /// [`on_mem`]: TraceSink::on_mem
     #[inline]
     fn on_block(&mut self, ev: BlockEvent<'_>) {
-        // The precomputed footprint models 64-byte lines; a config with
+        // The precomputed footprint models 64-byte lines, and same-line
+        // ⇒ same-page needs pages no smaller than lines; a config with
         // exotic geometry replays the exact per-instruction path.
-        if self.cfg.line_bytes != 64 || self.cfg.page_bytes <= 16 || ev.fetches.is_empty() {
+        if self.cfg.line_bytes != 64 || self.cfg.page_bytes < 64 || ev.fetches.is_empty() {
             ev.replay(self);
             return;
         }
-        if !ev.mems.is_empty() {
-            self.on_superblock(ev);
-            return;
-        }
         self.instructions += ev.inst_count as u64;
+        let fetches = ev.fetches;
+        let mut pending = std::mem::take(&mut self.pending);
         // iTLB: pages of instruction-start addresses (every page in the
         // range holds at least one start — pages dwarf instructions).
         let page_mask = !(self.cfg.page_bytes - 1);
-        let last_page = ev.fetches[ev.fetches.len() - 1].0 & page_mask;
+        let last_page = fetches[fetches.len() - 1].0 & page_mask;
         let mut page = ev.entry & page_mask;
         let mut pages_probed = 0u64;
         loop {
             pages_probed += 1;
             if !self.itlb.access(page) {
-                self.extra_cycles += self.cfg.tlb_miss_latency;
+                let first = fetches.partition_point(|&(a, _)| a < page);
+                pending.push((first as u32, IMiss::Itlb));
             }
             if page >= last_page {
                 break;
@@ -415,17 +341,73 @@ impl TraceSink for CpuModel {
             page += self.cfg.page_bytes;
         }
         // Bulk-count the repeat accesses (one per instruction in the
-        // step engine), mirroring the L1I correction below.
+        // step engine).
         self.itlb.accesses += ev.inst_count as u64 - pages_probed;
         // L1I: each distinct line once; repeats bulk-counted (the step
         // engine reports one access per fetch plus one per crossing).
         for &line in ev.lines64 {
             if !self.l1i.access(line) {
-                self.extra_cycles += self.miss_path(line, true);
+                let first = fetches.partition_point(|&(a, l)| a + l as u64 <= line);
+                pending.push((first as u32, IMiss::L1i(line)));
             }
         }
         let total_accesses = ev.inst_count as u64 + ev.crossings64 as u64;
         self.l1i.accesses += total_accesses - ev.lines64.len() as u64;
+        if pending.len() > 1 {
+            pending.sort_unstable();
+        }
+        // D-side. Two-slot memo of recently *charged* non-crossing lines
+        // (`d1` newest). A repeat of `d1` is a guaranteed
+        // most-recently-used hit in both L1D and dTLB. A repeat of `d2`
+        // is equally guaranteed when `d1` provably lives in a different
+        // L1D set and a different dTLB set — then `d2` is still the
+        // newest access within each of its own sets, and skipping its
+        // re-stamp cannot change any LRU decision (recency *order*
+        // within every set is preserved). This covers the alternating
+        // stack-line/data-line pattern of typical straight-line code.
+        let mut d1 = u64::MAX;
+        let mut d2 = u64::MAX;
+        let l1d_set_mask = (self.l1d.sets() - 1) as u64;
+        let dtlb_set_mask = (self.dtlb.sets() - 1) as u64;
+        let page_shift = self.cfg.page_bytes.trailing_zeros();
+        let distinct_sets = |a: u64, b: u64| {
+            ((a >> 6) & l1d_set_mask) != ((b >> 6) & l1d_set_mask)
+                && ((a >> page_shift) & dtlb_set_mask) != ((b >> page_shift) & dtlb_set_mask)
+        };
+        let mut d_bulk = 0u64;
+        let mut next = 0usize;
+        for m in ev.mems {
+            while let Some(&(first, miss)) = pending.get(next) {
+                if first > m.inst {
+                    break;
+                }
+                self.charge_i(miss);
+                next += 1;
+            }
+            let dl = (m.addr >> 6) << 6;
+            let crosses = ((m.addr + m.len.max(1) as u64 - 1) >> 6) << 6 != dl;
+            if !crosses && (dl == d1 || (dl == d2 && distinct_sets(d1, d2))) {
+                d_bulk += 1;
+            } else {
+                self.on_mem(m.addr, m.len, m.write);
+                if crosses {
+                    // The crossing touched two lines; neither slot can
+                    // claim MRU safely any more.
+                    d1 = u64::MAX;
+                    d2 = u64::MAX;
+                } else if dl != d1 {
+                    d2 = d1;
+                    d1 = dl;
+                }
+            }
+        }
+        for &(_, miss) in &pending[next..] {
+            self.charge_i(miss);
+        }
+        self.l1d.accesses += d_bulk;
+        self.dtlb.accesses += d_bulk;
+        pending.clear();
+        self.pending = pending;
     }
 
     #[inline]
@@ -444,7 +426,7 @@ impl TraceSink for CpuModel {
             self.extra_cycles += self.cfg.tlb_miss_latency;
         }
         if !self.l1d.access(addr) {
-            self.extra_cycles += self.miss_path(addr, false);
+            self.extra_cycles += self.miss_path(addr);
         }
         // An access crossing a line boundary touches the next line too,
         // exactly like the I-side check in `on_inst`.
@@ -453,7 +435,7 @@ impl TraceSink for CpuModel {
             != addr >> self.cfg.line_bytes.trailing_zeros()
             && !self.l1d.access(end)
         {
-            self.extra_cycles += self.miss_path(end, false);
+            self.extra_cycles += self.miss_path(end);
         }
     }
 }
@@ -713,6 +695,97 @@ mod tests {
                 assert_eq!(stepped.dtlb.accesses, batched.dtlb.accesses);
                 assert_eq!(stepped.l1d.accesses, batched.l1d.accesses);
             }
+        }
+    }
+
+    /// Seeded randomized exactness check for the shared levels. With a
+    /// one- or two-set L2 (and a small LLC), an L1I miss and an L1D miss
+    /// of the same block evict each other's lines, so charging the
+    /// deferred I-side misses anywhere but at their step-engine
+    /// positions shows up as different L2/LLC misses. Instruction
+    /// lengths cross lines and pages, code lands on cold lines, and the
+    /// memory records (some crossing lines, some repeating a recent
+    /// line) interleave at random.
+    #[test]
+    fn batched_block_keeps_shared_level_order() {
+        use bolt_emu::MemRecord;
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut rand = move |n: u64| {
+            // xorshift64*
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        };
+        for l2_sets in [1u64, 2] {
+            let small = SimConfig::small();
+            let cfg = SimConfig {
+                l2_bytes: l2_sets * small.l2_ways as u64 * 64,
+                llc_bytes: 2 * small.llc_ways as u64 * 64,
+                ..small
+            };
+            let mut stepped = CpuModel::new(cfg.clone());
+            let mut batched = CpuModel::new(cfg.clone());
+            for round in 0..500 {
+                // Code: one of 8 pages, often near the page end so
+                // blocks cross pages.
+                let page = 0x40_0000 + rand(8) * cfg.page_bytes;
+                let off = if rand(3) == 0 {
+                    cfg.page_bytes - 1 - rand(40)
+                } else {
+                    rand(cfg.page_bytes)
+                };
+                let entry = page + off;
+                let lens: Vec<u8> = (0..1 + rand(20)).map(|_| 1 + rand(15) as u8).collect();
+                let mut mems = Vec::new();
+                let mut last = 0x60_0000u64;
+                for i in 0..lens.len() as u32 {
+                    for _ in 0..rand(3) {
+                        let addr = match rand(4) {
+                            0 => last,
+                            1 => last + 8,
+                            _ => 0x60_0000 + rand(8 << 10),
+                        };
+                        let len = [1u8, 2, 4, 8][rand(4) as usize];
+                        mems.push(MemRecord {
+                            inst: i,
+                            addr,
+                            len,
+                            write: rand(2) == 0,
+                        });
+                        last = addr;
+                    }
+                }
+                let (fetches, lines, crossings) = block_parts(entry, &lens);
+                let ev = bolt_emu::BlockEvent {
+                    entry,
+                    inst_count: lens.len() as u32,
+                    byte_len: lens.iter().map(|&l| l as u32).sum(),
+                    fetches: &fetches,
+                    lines64: &lines,
+                    crossings64: crossings,
+                    mems: &mems,
+                };
+                let mut mi = 0usize;
+                for (i, &(addr, len)) in fetches.iter().enumerate() {
+                    stepped.on_inst(addr, len);
+                    while mi < mems.len() && mems[mi].inst as usize == i {
+                        let m = mems[mi];
+                        stepped.on_mem(m.addr, m.len, m.write);
+                        mi += 1;
+                    }
+                }
+                batched.on_block(ev);
+                let at = format!("l2 sets {l2_sets} round {round} entry {entry:#x}");
+                assert_eq!(stepped.counters(), batched.counters(), "{at}");
+                assert_eq!(stepped.itlb.accesses, batched.itlb.accesses, "{at}");
+                assert_eq!(stepped.l1i.accesses, batched.l1i.accesses, "{at}");
+                assert_eq!(stepped.dtlb.accesses, batched.dtlb.accesses, "{at}");
+                assert_eq!(stepped.l1d.accesses, batched.l1d.accesses, "{at}");
+            }
+            // The rounds really exercised the shared levels.
+            let c = batched.counters();
+            assert!(c.l1i_misses > 100 && c.l1d_misses > 100 && c.l2_misses > 100);
         }
     }
 
