@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the reproduction's own algorithms:
 //! encoder/decoder throughput, block-layout algorithms, HFSort
 //! clustering, flow repair, the cache simulator, and the emulation
-//! engine tiers (step / block / superblock / uop).
+//! engines (step / uop).
 
 use bolt_bench::*;
 use bolt_compiler::CompileOptions;
@@ -17,8 +17,8 @@ use std::hint::black_box;
 /// An ALU-dense loop for the lazy-vs-eager flags comparison: a
 /// 24-instruction body where *every* instruction writes flags and none
 /// reads them — only the loop-back `jne` consumes the final `sub`'s
-/// result. Eager engines pay the flags math 24 times per iteration;
-/// the uop tier's liveness pass pays it once.
+/// result. Eager flags would pay the flags math 24 times per
+/// iteration; the uop tier's liveness pass pays it once.
 fn alu_dense_elf(iters: i64) -> bolt_elf::Elf {
     use bolt_isa::{encode_at, AluOp, Cond, Inst, JumpWidth, Reg, Target};
     let mut insts = vec![
@@ -210,19 +210,16 @@ fn bench_cache_sim(c: &mut Criterion) {
     });
 }
 
-/// The engine comparison (step vs block vs superblock vs uop) on the
-/// hot emulation paths: whole-workload execution (translation-cache hit
-/// path), the straight-line-heavy workload the superblock tier targets,
-/// the dispatch-dominated workload the uop tier targets, batched
-/// `on_block` charging vs per-instruction `on_inst`, and the engines
-/// driving the full CPU model.
+/// The engine comparison (step vs uop) on the hot emulation paths:
+/// whole-workload execution (translation-cache hit path), the
+/// straight-line-heavy workload, the dispatch-dominated workload,
+/// batched `on_block` charging vs per-instruction `on_inst`, and the
+/// engines driving the full CPU model.
 fn bench_block_engine(c: &mut Criterion) {
     let program = Workload::Tao.build(Scale::Test);
     let elf = build(&program, &CompileOptions::default());
     for (name, engine) in [
         ("engine_step_tao_null_sink", Engine::Step),
-        ("engine_block_tao_null_sink", Engine::Block),
-        ("engine_superblock_tao_null_sink", Engine::Superblock),
         ("engine_uop_tao_null_sink", Engine::Uop),
     ] {
         c.bench_function(name, |b| {
@@ -236,8 +233,6 @@ fn bench_block_engine(c: &mut Criterion) {
     }
     for (name, engine) in [
         ("engine_step_tao_cpu_model", Engine::Step),
-        ("engine_block_tao_cpu_model", Engine::Block),
-        ("engine_superblock_tao_cpu_model", Engine::Superblock),
         ("engine_uop_tao_cpu_model", Engine::Uop),
     ] {
         c.bench_function(name, |b| {
@@ -251,16 +246,12 @@ fn bench_block_engine(c: &mut Criterion) {
         });
     }
 
-    // Superblock-vs-block on the workload shape the superblock tier
-    // targets: long straight-line runs interleaving ALU work with
-    // loads/stores, where the block engine's blocks degenerate to ~2
-    // instructions (the ≥1.5x acceptance workload; `bench-snapshot`
-    // records the measured ratio in BENCH_emu.json).
+    // Long straight-line runs interleaving ALU work with loads/stores,
+    // one block spanning the whole loop body (`bench-snapshot` records
+    // the measured ratio in BENCH_emu.json).
     let straight = straightline_elf(2_000);
     for (name, engine) in [
         ("engine_step_straightline", Engine::Step),
-        ("engine_block_straightline", Engine::Block),
-        ("engine_superblock_straightline", Engine::Superblock),
         ("engine_uop_straightline", Engine::Uop),
     ] {
         c.bench_function(name, |b| {
@@ -273,62 +264,32 @@ fn bench_block_engine(c: &mut Criterion) {
         });
     }
 
-    // The dispatch-dominated interp VM — two dispatch sites per
-    // iteration whose targets change nearly every execution, the uop
-    // tier's stress case (a null sink makes this a dispatch-only loop:
-    // pure engine cost, no model work).
+    // Three uop-engine stress cases under a null sink (pure engine
+    // cost, no model work):
+    // * the dispatch-dominated interp VM — two dispatch sites per
+    //   iteration whose targets change nearly every execution;
+    // * lowering cost per block — a one-iteration binary on a fresh
+    //   machine each iter, so every block is decoded and lowered to
+    //   micro-ops exactly once and executed once;
+    // * lazy flags — every body instruction writes flags but only the
+    //   loop-back `jne` reads them, so the liveness pass marks all but
+    //   the last writer dead and skips the flags math.
     let interp = build(
         &Workload::Interp.build(Scale::Test),
         &CompileOptions::default(),
     );
-    for (name, engine) in [
-        ("engine_superblock_interp_null_sink", Engine::Superblock),
-        ("engine_uop_interp_null_sink", Engine::Uop),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let mut m = Machine::new();
-                m.load_elf(&interp);
-                let r = m.run_engine(&mut NullSink, u64::MAX, engine).unwrap();
-                black_box(r.steps)
-            })
-        });
-    }
-
-    // Lowering cost per block: a one-iteration binary on a fresh
-    // machine each iter, so every block is decoded (superblock) or
-    // decoded *and* lowered to micro-ops (uop) exactly once and
-    // executed once. The uop-minus-superblock delta is the translation
-    // surcharge the tier pays up front.
     let tiny = straightline_elf(1);
-    for (name, engine) in [
-        ("engine_superblock_translate_only", Engine::Superblock),
-        ("engine_uop_translate_and_lower", Engine::Uop),
-    ] {
-        c.bench_function(name, |b| {
-            b.iter(|| {
-                let mut m = Machine::new();
-                m.load_elf(&tiny);
-                let r = m.run_engine(&mut NullSink, u64::MAX, engine).unwrap();
-                black_box(r.steps)
-            })
-        });
-    }
-
-    // Lazy vs eager flags: every body instruction writes flags but only
-    // the loop-back `jne` reads them. The superblock engine materializes
-    // each ALU result's flags eagerly; the uop engine's liveness pass
-    // marks all but the last writer dead and skips the flags math.
     let alu = alu_dense_elf(2_000);
-    for (name, engine) in [
-        ("engine_superblock_alu_eager_flags", Engine::Superblock),
-        ("engine_uop_alu_lazy_flags", Engine::Uop),
+    for (name, elf) in [
+        ("engine_uop_interp_null_sink", &interp),
+        ("engine_uop_translate_and_lower", &tiny),
+        ("engine_uop_alu_lazy_flags", &alu),
     ] {
         c.bench_function(name, |b| {
             b.iter(|| {
                 let mut m = Machine::new();
-                m.load_elf(&alu);
-                let r = m.run_engine(&mut NullSink, u64::MAX, engine).unwrap();
+                m.load_elf(elf);
+                let r = m.run_engine(&mut NullSink, u64::MAX, Engine::Uop).unwrap();
                 black_box(r.steps)
             })
         });
@@ -364,8 +325,8 @@ fn bench_block_engine(c: &mut Criterion) {
             black_box(model.counters().l1i_accesses)
         })
     });
-    // The superblock event shape: the same block with interleaved
-    // memory records, charged batched vs as the equivalent
+    // The event shape of a block touching memory: the same block with
+    // interleaved memory records, charged batched vs as the equivalent
     // on_inst/on_mem sequence.
     let mems: Vec<MemRecord> = (0..8)
         .map(|i| MemRecord {

@@ -95,14 +95,13 @@ fn main() {
     }
 
     // Execution engines on the identical sharded batch
-    // (--engine=step|block|superblock / BOLT_ENGINE): the block engines
-    // execute through the translation cache with batched trace events —
-    // superblocks additionally span memory-touching instructions and
-    // chain block transitions — byte-identical merged profile and
+    // (--engine=step|uop / BOLT_ENGINE): the uop engine executes chained
+    // blocks of pre-resolved micro-ops from the translation cache with
+    // batched trace events — byte-identical merged profile and
     // counters, less wall clock per shard.
     println!("\nemulation engine (--engine), same batch at {workers} workers:");
     let mut engine_runs = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock] {
+    for engine in [Engine::Step, Engine::Uop] {
         let plan = shard_plan(shards, workers).with_engine(engine);
         let started = Instant::now();
         let (profile, batch) =
@@ -112,28 +111,24 @@ fn main() {
         engine_runs.push((profile, batch, wall));
     }
     let step_leg = &engine_runs[0];
-    for (engine, leg) in [
-        (Engine::Block, &engine_runs[1]),
-        (Engine::Superblock, &engine_runs[2]),
-    ] {
-        assert_eq!(
-            step_leg.0.to_fdata(),
-            leg.0.to_fdata(),
-            "{engine}: merged profiles must be byte-identical across engines"
-        );
-        assert_eq!(
-            step_leg.1.counters, leg.1.counters,
-            "{engine}: summed counters must not depend on the engine"
-        );
-        assert_eq!(
-            step_leg.1.runs, leg.1.runs,
-            "{engine}: per-shard results identical"
-        );
-        println!(
-            "  {engine}-engine speedup: {:.2}x (identical merged profile and counters)",
-            step_leg.2.as_secs_f64() / leg.2.as_secs_f64().max(f64::MIN_POSITIVE)
-        );
-    }
+    let (engine, leg) = (Engine::Uop, &engine_runs[1]);
+    assert_eq!(
+        step_leg.0.to_fdata(),
+        leg.0.to_fdata(),
+        "{engine}: merged profiles must be byte-identical across engines"
+    );
+    assert_eq!(
+        step_leg.1.counters, leg.1.counters,
+        "{engine}: summed counters must not depend on the engine"
+    );
+    assert_eq!(
+        step_leg.1.runs, leg.1.runs,
+        "{engine}: per-shard results identical"
+    );
+    println!(
+        "  {engine}-engine speedup: {:.2}x (identical merged profile and counters)",
+        step_leg.2.as_secs_f64() / leg.2.as_secs_f64().max(f64::MIN_POSITIVE)
+    );
 
     // The merged profile drives BOLT exactly like a single-run profile.
     // The measurement plan is derived from BoltOptions — the same path

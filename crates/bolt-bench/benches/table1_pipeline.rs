@@ -22,10 +22,10 @@ fn main() {
 
     // Emulation dominates the bench's wall clock; compare the engines on
     // the profiling run before timing the pipeline itself. Profiles are
-    // byte-identical under every engine — only the wall clock differs.
-    println!("emulation engine (--engine=step|block|superblock), profiling run:");
+    // byte-identical under both engines — only the wall clock differs.
+    println!("emulation engine (--engine=step|uop), profiling run:");
     let mut profiled = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock] {
+    for engine in [Engine::Step, Engine::Uop] {
         let plan = shard_plan(1, 1).with_engine(engine);
         let started = Instant::now();
         let leg = profile_lbr_batch(&baseline, &cfg, &plan);
@@ -33,21 +33,17 @@ fn main() {
         println!("  --engine={engine:<10} wall {wall:>9.3?}");
         profiled.push((leg, wall));
     }
-    for (engine, leg) in [
-        (Engine::Block, &profiled[1]),
-        (Engine::Superblock, &profiled[2]),
-    ] {
-        assert_eq!(
-            profiled[0].0 .0.to_fdata(),
-            leg.0 .0.to_fdata(),
-            "{engine}: profiles byte-identical across engines"
-        );
-        assert_eq!(profiled[0].0 .1.runs, leg.0 .1.runs, "{engine}");
-        println!(
-            "  {engine}-engine speedup: {:.2}x (identical profile and counters)",
-            profiled[0].1.as_secs_f64() / leg.1.as_secs_f64().max(f64::MIN_POSITIVE)
-        );
-    }
+    let (engine, leg) = (Engine::Uop, &profiled[1]);
+    assert_eq!(
+        profiled[0].0 .0.to_fdata(),
+        leg.0 .0.to_fdata(),
+        "{engine}: profiles byte-identical across engines"
+    );
+    assert_eq!(profiled[0].0 .1.runs, leg.0 .1.runs, "{engine}");
+    println!(
+        "  {engine}-engine speedup: {:.2}x (identical profile and counters)",
+        profiled[0].1.as_secs_f64() / leg.1.as_secs_f64().max(f64::MIN_POSITIVE)
+    );
     println!();
     let (profile, step_batch) = profiled.swap_remove(0).0;
     let base = step_batch.runs.into_iter().next().expect("one run");

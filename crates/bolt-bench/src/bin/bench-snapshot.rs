@@ -1,12 +1,11 @@
 //! `bench-snapshot`: records the emulation-engine performance trajectory
 //! as a committed artifact instead of a commit-message anecdote.
 //!
-//! Runs every execution engine (`step`, `block`, `superblock`, `uop`)
-//! over a small workload matrix — the TAO and clang-like paper
-//! workloads, the dispatch-dominated `interp` VM the uop tier targets,
-//! and the synthetic straight-line-heavy loop the superblock tier
-//! targets — and writes the wall clocks and derived speedups to `BENCH_emu.json`
-//! (engine × workload). Counters are asserted byte-identical across
+//! Runs both execution engines (`step`, `uop`) over a small workload
+//! matrix — the TAO and clang-like paper workloads, the
+//! dispatch-dominated `interp` VM, and the synthetic
+//! straight-line-heavy loop — and writes the wall clocks and derived
+//! speedups to `BENCH_emu.json` (engine × workload). Counters are asserted byte-identical across
 //! engines while at it, so the snapshot can't silently measure two
 //! different computations.
 //!
@@ -32,7 +31,7 @@ use bolt_workloads::{Scale, Workload};
 use std::fmt::Write as _;
 use std::time::Instant;
 
-const ENGINES: [Engine; 4] = [Engine::Step, Engine::Block, Engine::Superblock, Engine::Uop];
+const ENGINES: [Engine; 2] = [Engine::Step, Engine::Uop];
 
 struct Leg {
     /// Best-of-reps wall clock with no sink attached (pure engine cost).
@@ -164,7 +163,6 @@ fn main() {
             "full"
         }
     );
-    let mut uop_wins = 0usize;
     for (wi, (name, elf)) in workloads.iter().enumerate() {
         let legs: Vec<Leg> = ENGINES.iter().map(|&e| run_leg(elf, e, reps)).collect();
         for (e, leg) in ENGINES.iter().zip(&legs) {
@@ -181,17 +179,9 @@ fn main() {
         // The cpu-model leg is the product path (every real profiling
         // or measurement run attaches a sink); null-sink isolates the
         // engines themselves.
-        let sb_vs_block = legs[1].model_ms / legs[2].model_ms.max(f64::MIN_POSITIVE);
-        let sb_vs_block_null = legs[1].null_ms / legs[2].null_ms.max(f64::MIN_POSITIVE);
-        let block_vs_step = legs[0].model_ms / legs[1].model_ms.max(f64::MIN_POSITIVE);
-        let sb_vs_step = legs[0].model_ms / legs[2].model_ms.max(f64::MIN_POSITIVE);
-        let uop_vs_sb = legs[2].model_ms / legs[3].model_ms.max(f64::MIN_POSITIVE);
-        let uop_vs_sb_null = legs[2].null_ms / legs[3].null_ms.max(f64::MIN_POSITIVE);
-        println!(
-            "  {name:<12} cpu-model superblock/block {sb_vs_block:.2}x (null {sb_vs_block_null:.2}x), \
-             block/step {block_vs_step:.2}x, superblock/step {sb_vs_step:.2}x, \
-             uop/superblock {uop_vs_sb:.2}x (null {uop_vs_sb_null:.2}x)"
-        );
+        let uop_vs_step = legs[0].model_ms / legs[1].model_ms.max(f64::MIN_POSITIVE);
+        let uop_vs_step_null = legs[0].null_ms / legs[1].null_ms.max(f64::MIN_POSITIVE);
+        println!("  {name:<12} cpu-model uop/step {uop_vs_step:.2}x (null {uop_vs_step_null:.2}x)");
         let _ = writeln!(json, "    \"{name}\": {{");
         let _ = writeln!(json, "      \"retired_instructions\": {},", legs[0].steps);
         let _ = writeln!(json, "      \"engines\": {{");
@@ -205,43 +195,15 @@ fn main() {
             );
         }
         let _ = writeln!(json, "      }},");
+        let _ = writeln!(json, "      \"speedup_uop_vs_step\": {uop_vs_step:.3},");
         let _ = writeln!(
             json,
-            "      \"speedup_superblock_vs_block\": {sb_vs_block:.3},"
-        );
-        let _ = writeln!(
-            json,
-            "      \"speedup_superblock_vs_block_null_sink\": {sb_vs_block_null:.3},"
-        );
-        let _ = writeln!(json, "      \"speedup_block_vs_step\": {block_vs_step:.3},");
-        let _ = writeln!(
-            json,
-            "      \"speedup_superblock_vs_step\": {sb_vs_step:.3},"
-        );
-        let _ = writeln!(json, "      \"speedup_uop_vs_superblock\": {uop_vs_sb:.3},");
-        let _ = writeln!(
-            json,
-            "      \"speedup_uop_vs_superblock_null_sink\": {uop_vs_sb_null:.3}"
+            "      \"speedup_uop_vs_step_null_sink\": {uop_vs_step_null:.3}"
         );
         let _ = writeln!(
             json,
             "    }}{}",
             if wi + 1 < workloads.len() { "," } else { "" }
-        );
-        if !smoke && *name == "straightline" && sb_vs_block < 1.5 {
-            eprintln!(
-                "bench-snapshot: WARNING: superblock/block on the straight-line \
-                 workload measured {sb_vs_block:.2}x, below the 1.5x target"
-            );
-        }
-        if uop_vs_sb_null >= 1.3 {
-            uop_wins += 1;
-        }
-    }
-    if !smoke && uop_wins < 2 {
-        eprintln!(
-            "bench-snapshot: WARNING: uop/superblock null-sink hit 1.3x on only \
-             {uop_wins} workload(s), below the 2-workload target"
         );
     }
     let _ = writeln!(json, "  }},");
@@ -475,19 +437,20 @@ fn main() {
     }
     let _ = writeln!(json, "  }},");
 
-    // Symbolic translation-validation overhead: re-run the three
-    // translation engines on TAO with semantic validation enabled and
-    // record the wall-clock cost against a just-measured baseline (the
-    // validator runs once per packed block, at translate time). This
-    // section is measured LAST by necessity: the knob is process-global
-    // and sticky-on, so everything timed above runs validation-free.
+    // Symbolic translation-validation overhead: re-run both engines on
+    // TAO with semantic validation enabled and record the wall-clock
+    // cost against a just-measured baseline (the validator runs once
+    // per packed block, at translate time; the step engine translates
+    // nothing, so its delta is a noise control). This section is
+    // measured LAST by necessity: the knob is process-global and
+    // sticky-on, so everything timed above runs validation-free.
     let _ = writeln!(json, "  \"sem_validate\": {{");
     let tao = &workloads
         .iter()
         .find(|(n, _)| *n == "tao")
         .expect("workload built above")
         .1;
-    let sem_engines = [Engine::Block, Engine::Superblock, Engine::Uop];
+    let sem_engines = ENGINES;
     let sem_reps = reps.min(3);
     let baseline: Vec<f64> = sem_engines
         .iter()

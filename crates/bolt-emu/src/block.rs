@@ -1,5 +1,4 @@
-//! The basic-block translation cache behind [`Machine::run_blocks`] and
-//! [`Machine::run_superblocks`].
+//! The basic-block translation cache behind [`Machine::run_uops`].
 //!
 //! Per-instruction emulation pays a decode-cache probe, an interpreter
 //! dispatch, and a sink callback for every retired instruction. Real
@@ -8,47 +7,36 @@
 //! tight loop. This module holds the cache itself — packed [`Block`]
 //! descriptors indexed by entry `rip` over the machine's flat text span
 //! (with a sorted spill index for out-of-span code), with the decoded
-//! instructions, per-instruction fetch records, static memory-op
-//! shapes, and the precomputed I-side line footprint in shared pools.
+//! instructions, their lowered micro-ops, per-instruction fetch
+//! records, static memory-op shapes, and the precomputed I-side line
+//! footprint in shared pools.
 //!
-//! The cache translates in three modes (see [`ensure_span`]):
-//!
-//! * **Block mode** (`Machine::run_blocks`): blocks end at the first
-//!   control transfer *or* memory-touching instruction. Every
-//!   `on_mem`/`on_branch` event a block produces therefore comes from
-//!   its final instruction, so charging the whole fetch footprint up
-//!   front (one [`BlockEvent`] before the block executes) presents
-//!   sinks with exactly the event order of per-instruction stepping.
-//! * **Superblock mode** (`Machine::run_superblocks`): blocks span
-//!   memory-touching instructions and end only at control transfers.
-//!   Each memory-touching instruction's static D-side shape (which
-//!   instruction, read or write — the width is fixed by the ISA; only
-//!   the effective address and its line crossing are resolved at
-//!   execute time) is recorded at translation time, and the engine
-//!   captures the resolved addresses while the block executes, emitting
-//!   one [`BlockEvent`] whose interleaved fetch + memory records
-//!   reproduce the step engine's event order exactly. Superblocks also
-//!   *chain*: a block's terminator caches up to two `(successor rip →
-//!   block index)` links so the hot loop follows direct jumps and
-//!   fall-throughs without consulting the entry index at all.
-//! * **Uop mode** (`Machine::run_uops`): superblock packing, and in
-//!   addition each decoded instruction is lowered to a pre-resolved
-//!   [`MicroOp`] in a pool parallel to the decoded entries — see
-//!   [`crate::uop`]. The decoded `insts` stay populated too: the
-//!   mid-block `MaxSteps` fallback steps through them exactly.
+//! Blocks end only at control transfers (or [`MAX_BLOCK_INSTS`]); they
+//! span memory-touching instructions. Each memory-touching
+//! instruction's static D-side shape (which instruction, read or write
+//! — the width is fixed by the ISA; only the effective address and its
+//! line crossing are resolved at execute time) is recorded at
+//! translation time, and the engine captures the resolved addresses
+//! while the block executes, emitting one [`BlockEvent`] whose
+//! interleaved fetch + memory records reproduce the step engine's event
+//! order exactly. Blocks also *chain*: a block's terminator caches up
+//! to two `(successor rip → block index)` links so the hot loop follows
+//! direct jumps and fall-throughs without consulting the entry index at
+//! all. Each decoded instruction is additionally lowered to a
+//! pre-resolved [`MicroOp`] in a pool parallel to the decoded entries —
+//! see [`crate::uop`]. The decoded `insts` stay populated too: the
+//! [`BlockTier::Decoded`] fallback executes them, and the semantic
+//! validator proves them.
 //!
 //! **Blocks self-invalidate on stores into cached text** (flat span or
-//! spill bounds). In block mode a store is always a block's last
-//! instruction; in superblock mode the engine checks the dirty flag
-//! after every executed instruction and abandons the packed entries
-//! mid-block. Either way the pools (and every chain link with them) are
+//! spill bounds). The engine checks the dirty flag after every executed
+//! instruction of a block that touches memory and abandons the packed
+//! entries mid-block; the pools (and every chain link with them) are
 //! reclaimed at the next block boundary and the patched bytes are
 //! retranslated, matching the step engine's (also invalidated) decode
 //! cache.
 //!
-//! [`Machine::run_blocks`]: crate::Machine::run_blocks
-//! [`Machine::run_superblocks`]: crate::Machine::run_superblocks
-//! [`ensure_span`]: BlockCache::ensure_span
+//! [`Machine::run_uops`]: crate::Machine::run_uops
 
 use crate::spill::SpillIndex;
 use crate::uop::MicroOp;
@@ -57,36 +45,12 @@ use bolt_isa::{decode, Inst, Rm};
 use std::ops::Range;
 
 /// Longest straight-line run a single block may hold. Blocks usually end
-/// far earlier (at a branch — or, in block mode, a memory access); the
-/// cap bounds translation latency for degenerate compute-only runs.
+/// far earlier (at a branch); the cap bounds translation latency for
+/// degenerate branch-free runs.
 const MAX_BLOCK_INSTS: usize = 64;
 
 /// Chain-link slot holding no successor yet.
 const NO_LINK: (u64, u32) = (u64::MAX, 0);
-
-/// How the cache translates — pinned per span by
-/// [`ensure_span`](BlockCache::ensure_span) since the three engines
-/// pack blocks differently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum TranslationMode {
-    /// Blocks end at the first control transfer *or* memory access.
-    #[default]
-    Block,
-    /// Blocks span memory accesses (shapes recorded) and chain.
-    Superblock,
-    /// Superblock packing, plus each instruction lowered to a
-    /// pre-resolved [`MicroOp`] in a parallel pool.
-    Uop,
-}
-
-impl TranslationMode {
-    /// Whether blocks span memory-touching instructions (and therefore
-    /// record static D-side shapes and support chaining).
-    #[inline]
-    fn spans_mems(self) -> bool {
-        !matches!(self, TranslationMode::Block)
-    }
-}
 
 /// The execution tier a translated block runs at. Blocks normally run
 /// [`Full`](BlockTier::Full); a translation-validation finding at
@@ -94,17 +58,17 @@ impl TranslationMode {
 /// aborting the run — the fault-tolerance counterpart of per-function
 /// quarantine on the optimize path. Degradation is strictly local: the
 /// rest of the cache keeps running at full speed, and every tier is
-/// observationally identical, so four-way engine invariance holds even
-/// with degraded blocks in the mix.
+/// observationally identical, so engine invariance holds even with
+/// degraded blocks in the mix. The ladder is `Full` (micro-ops) →
+/// `Decoded` (instructions) → `Step`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BlockTier {
-    /// Execute at the cache's translation mode (micro-ops in uop mode,
-    /// packed decoded entries otherwise).
+    /// Execute the lowered micro-ops.
     #[default]
     Full,
-    /// Uop mode only: the lowered micro-ops failed validation but the
-    /// decoded entries re-validated clean — execute those (superblock
-    /// semantics) and leave the untrusted uops unread.
+    /// The lowered micro-ops failed validation but the decoded entries
+    /// re-validated clean — execute those (same batching, chaining, and
+    /// SMC handling) and leave the untrusted uops unread.
     Decoded,
     /// The packed translation itself is untrusted: single-step the
     /// block's instructions through the interpreter's fetch path,
@@ -137,8 +101,9 @@ impl TierCounts {
 /// kind would take. Per-cache state — parallel tests never interfere.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
-    /// Pretend the uop structural validator rejected the lowering
-    /// (degrades the block to [`BlockTier::Decoded`] in uop mode).
+    /// Pretend semantic validation rejected the micro-op lowering while
+    /// the decoded entries re-validated clean (degrades the block to
+    /// [`BlockTier::Decoded`]).
     UopInvalid,
     /// Pretend semantic validation found a disagreement that survives
     /// re-validation (degrades the block to [`BlockTier::Step`]).
@@ -147,7 +112,7 @@ pub enum InjectedFault {
 
 /// Static shape of one data-memory access inside a block: which
 /// instruction performs it and its direction, recorded at translation
-/// time (superblock mode). The access width is fixed at 8 bytes by the
+/// time. The access width is fixed at 8 bytes by the
 /// ISA; the effective address — and hence any line crossing — is only
 /// resolvable at execute time and is captured into a [`MemRecord`] then.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -211,7 +176,7 @@ struct Block {
     /// Range into the line-footprint pool: the 64-byte-aligned line
     /// addresses `[entry, entry + byte_len)` spans, ascending.
     lines: Range<u32>,
-    /// Range into the memory-shape pool (superblock mode).
+    /// Range into the memory-shape pool.
     mems: Range<u32>,
     /// Total bytes the block's instructions occupy.
     byte_len: u32,
@@ -219,7 +184,7 @@ struct Block {
     /// Fetches straddling a 64-byte line boundary.
     crossings64: u32,
     /// Chain links: `(successor rip, successor block index)`, installed
-    /// by the superblock engine when a transition resolves. Two slots
+    /// by the engine when a transition resolves. Two slots
     /// cover a conditional branch's taken and fall-through successors;
     /// dynamic terminators (indirect jumps, returns) memoize their most
     /// recent targets. Links never outlive the blocks vector — every
@@ -230,25 +195,21 @@ struct Block {
 }
 
 /// Whether `inst` must be the last instruction of its block: control
-/// transfers and program exits always (so a block has at most one
-/// dynamic successor per execution); in block mode also memory-touching
-/// instructions (so all D-side events come from a block's final
-/// instruction — the ordering guarantee up-front batched I-side
-/// charging depends on).
-fn ends_block(inst: &Inst, spans_mems: bool) -> bool {
-    match inst {
+/// transfers and program exits (so a block has at most one dynamic
+/// successor per execution).
+fn ends_block(inst: &Inst) -> bool {
+    matches!(
+        inst,
         Inst::Jcc { .. }
-        | Inst::Jmp { .. }
-        | Inst::JmpInd { .. }
-        | Inst::Call { .. }
-        | Inst::CallInd { .. }
-        | Inst::Ret
-        | Inst::RepzRet
-        | Inst::Ud2
-        | Inst::Syscall => true,
-        Inst::Push(_) | Inst::Pop(_) | Inst::Load { .. } | Inst::Store { .. } => !spans_mems,
-        _ => false,
-    }
+            | Inst::Jmp { .. }
+            | Inst::JmpInd { .. }
+            | Inst::Call { .. }
+            | Inst::CallInd { .. }
+            | Inst::Ret
+            | Inst::RepzRet
+            | Inst::Ud2
+            | Inst::Syscall
+    )
 }
 
 /// The translation cache: entry-`rip`-indexed [`Block`]s over the
@@ -261,19 +222,16 @@ pub(crate) struct BlockCache {
     /// run, so step-only machines pay nothing.
     index: Vec<u32>,
     base: u64,
-    /// Translation mode (see [`TranslationMode`]).
-    mode: TranslationMode,
     blocks: Vec<Block>,
     /// Decoded `(inst, len)` entries, packed across all blocks.
     insts: Vec<(Inst, u8)>,
-    /// Lowered micro-ops, parallel to `insts` entry-for-entry (uop mode
-    /// only; empty otherwise).
+    /// Lowered micro-ops, parallel to `insts` entry-for-entry.
     uops: Vec<MicroOp>,
     /// Per-instruction `(addr, len)` fetch records, parallel to `insts`.
     fetches: Vec<(u64, u8)>,
     /// Pooled 64-byte line footprints.
     lines: Vec<u64>,
-    /// Pooled static memory-op shapes (superblock mode).
+    /// Pooled static memory-op shapes.
     mem_shapes: Vec<MemShape>,
     /// Entry index for blocks outside the flat span — the same sorted
     /// spill index (last-hit memo, bounded out-of-order pending buffer)
@@ -304,7 +262,6 @@ impl Default for BlockCache {
         BlockCache {
             index: Vec::new(),
             base: 0,
-            mode: TranslationMode::Block,
             blocks: Vec::new(),
             insts: Vec::new(),
             uops: Vec::new(),
@@ -376,11 +333,11 @@ impl BlockCache {
         }
     }
 
-    /// Sizes the entry index to the machine's flat text span and pins
-    /// the translation mode (no-op when both already match, e.g. a
-    /// machine reused across runs of one image under one engine).
-    pub(crate) fn ensure_span(&mut self, base: u64, span: usize, mode: TranslationMode) {
-        if self.base != base || self.index.len() != span || self.mode != mode {
+    /// Sizes the entry index to the machine's flat text span (no-op
+    /// when it already matches, e.g. a machine reused across runs of
+    /// one image).
+    pub(crate) fn ensure_span(&mut self, base: u64, span: usize) {
+        if self.base != base || self.index.len() != span {
             // A full clear, except that an armed injected fault and the
             // cumulative tier counters survive: both are per-machine
             // diagnostics configured/read across the run boundary this
@@ -391,7 +348,6 @@ impl BlockCache {
             self.fault = fault;
             self.tiers = tiers;
             self.base = base;
-            self.mode = mode;
             self.index = vec![0; span];
             if span > 0 {
                 self.watch_lo = base;
@@ -435,8 +391,8 @@ impl BlockCache {
         }
     }
 
-    /// Whether an invalidation is pending (the superblock engine checks
-    /// this after every executed instruction to abandon a block whose
+    /// Whether an invalidation is pending (the engine checks this after
+    /// every executed instruction to abandon a block whose
     /// later entries a store may have patched).
     #[inline]
     pub(crate) fn is_dirty(&self) -> bool {
@@ -477,7 +433,8 @@ impl BlockCache {
     /// Translates the straight-line run starting at `entry`: decodes up
     /// to the first block-ending instruction or [`MAX_BLOCK_INSTS`],
     /// packs the entries, and precomputes the 64-byte line footprint,
-    /// crossing count, and (superblock mode) static memory-op shapes.
+    /// crossing count, and static memory-op shapes, and lowers the
+    /// entries to micro-ops.
     /// In-span entries land in the flat index; out-of-span entries in
     /// the sorted spill index.
     ///
@@ -502,13 +459,11 @@ impl BlockCache {
                 Err(_) if at == entry => return Err(EmuError::BadInstruction { rip: entry }),
                 Err(_) => break,
             };
-            if self.mode.spans_mems() {
-                push_shapes_for(
-                    (self.insts.len() - insts_start) as u32,
-                    &d.inst,
-                    &mut self.mem_shapes,
-                );
-            }
+            push_shapes_for(
+                (self.insts.len() - insts_start) as u32,
+                &d.inst,
+                &mut self.mem_shapes,
+            );
             self.insts.push((d.inst, d.len));
             self.fetches.push((at, d.len));
             if (at >> 6) != ((at + d.len as u64 - 1) >> 6) {
@@ -519,34 +474,25 @@ impl BlockCache {
             // direction: flat-index and spill blocks have different
             // text-write invalidation bounds, so each block must lie
             // wholly inside one region.
-            if ends_block(&d.inst, self.mode.spans_mems())
+            if ends_block(&d.inst)
                 || self.insts.len() - insts_start >= MAX_BLOCK_INSTS
                 || self.in_span(at) != entry_in_span
             {
                 break;
             }
         }
+        // Lower the whole block at once: the flags-liveness pass needs
+        // to see every instruction. The pools stay parallel — `uops[i]`
+        // always pairs with `insts[i]`.
+        crate::uop::lower_into(&mut self.uops, &self.insts[insts_start..]);
+        debug_assert_eq!(self.uops.len(), self.insts.len());
         let injected = self.take_fault();
         let mut tier = BlockTier::Full;
-        if self.mode == TranslationMode::Uop {
-            // Lower the whole block at once: the flags-liveness pass
-            // needs to see every instruction. The pools stay parallel —
-            // `uops[i]` always pairs with `insts[i]`.
-            crate::uop::lower_into(&mut self.uops, &self.insts[insts_start..]);
-            debug_assert_eq!(self.uops.len(), self.insts.len());
-            let structurally_bad = injected == Some(InjectedFault::UopInvalid)
-                || (crate::uop::uop_validation_enabled()
-                    && crate::uop::validate_block(
-                        &self.insts[insts_start..],
-                        &self.uops[insts_start..],
-                    )
-                    .is_err());
-            if structurally_bad {
-                // The lowering is untrusted but the decoded entries it
-                // came from are independently checkable — degrade one
-                // tier and leave the uop pool entries unread.
-                tier = BlockTier::Decoded;
-            }
+        if injected == Some(InjectedFault::UopInvalid) {
+            // The lowering is untrusted but the decoded entries it came
+            // from are independently checkable — degrade one tier and
+            // leave the uop pool entries unread.
+            tier = BlockTier::Decoded;
         }
         let lines_start = self.lines.len();
         let mut line = (entry >> 6) << 6;
@@ -576,12 +522,12 @@ impl BlockCache {
         // Semantic validation degrades rather than aborts: a finding at
         // the uop tier first re-proves the decoded entries alone (the
         // lowering may be the only culprit); a finding that survives
-        // re-validation — or one at any other tier — sends the block to
-        // per-instruction stepping, which never reads the pools.
+        // re-validation — or one at the decoded tier — sends the block
+        // to per-instruction stepping, which never reads the pools.
         if injected == Some(InjectedFault::SemInvalid) {
             tier = BlockTier::Step;
         } else if crate::transval::sem_validation_enabled() {
-            let with_uops = self.mode == TranslationMode::Uop && tier == BlockTier::Full;
+            let with_uops = tier == BlockTier::Full;
             if !self.validate_tier(mem, idx, with_uops).is_empty() {
                 tier = if with_uops && self.validate_tier(mem, idx, false).is_empty() {
                     BlockTier::Decoded
@@ -602,22 +548,13 @@ impl BlockCache {
     /// Symbolically proves the cached translation of block `idx`
     /// equivalent to the step semantics of a *fresh decode* of the same
     /// bytes — so a corrupted cache entry is caught even when its pools
-    /// are internally consistent. Returns the disagreements (empty =
-    /// proven equivalent).
-    pub(crate) fn validate_semantics(
-        &self,
-        mem: &Memory,
-        idx: u32,
-    ) -> Vec<crate::transval::SemFinding> {
-        self.validate_tier(mem, idx, self.mode == TranslationMode::Uop)
-    }
-
-    /// [`validate_semantics`](Self::validate_semantics) against a
-    /// chosen tier: with `with_uops` false the micro-op pool is left
-    /// out of the proof — exactly what a [`BlockTier::Decoded`] block
-    /// executes, so the degrade ladder re-validates the tier it is
-    /// about to fall back to, not the one that just failed.
-    fn validate_tier(
+    /// are internally consistent. With `with_uops` the micro-op pool is
+    /// the evaluated side ([`BlockTier::Full`]); without, the decoded
+    /// pool is — exactly what a [`BlockTier::Decoded`] block executes,
+    /// so the degrade ladder re-validates the tier it is about to fall
+    /// back to, not the one that just failed. Returns the disagreements
+    /// (empty = proven equivalent).
+    pub(crate) fn validate_tier(
         &self,
         mem: &Memory,
         idx: u32,
@@ -650,10 +587,14 @@ impl BlockCache {
             }
         }
         let cached = &self.insts[range.clone()];
-        let uops =
-            (with_uops && self.mode == TranslationMode::Uop).then(|| &self.uops[range.clone()]);
-        let shapes = self.mode.spans_mems().then(|| self.shapes(idx));
-        crate::transval::validate_translation(entry, &reference, cached, uops, shapes)
+        let uops = with_uops.then(|| &self.uops[range.clone()]);
+        crate::transval::validate_translation(
+            entry,
+            &reference,
+            cached,
+            uops,
+            Some(self.shapes(idx)),
+        )
     }
 
     /// Total bytes block `idx`'s instructions occupy.
@@ -667,7 +608,7 @@ impl BlockCache {
         (b.insts.start as usize..b.insts.end as usize, b.entry)
     }
 
-    /// Everything the superblock hot loop needs about block `idx` in
+    /// Everything the hot loop needs about block `idx` in
     /// one descriptor read: instruction pool range, entry address, and
     /// whether the block touches memory.
     #[inline]
@@ -686,14 +627,14 @@ impl BlockCache {
         self.insts[i]
     }
 
-    /// One lowered micro-op (uop mode; same pool indices as
+    /// One lowered micro-op (same pool indices as
     /// [`inst`](Self::inst)).
     #[inline]
     pub(crate) fn uop(&self, i: usize) -> MicroOp {
         self.uops[i]
     }
 
-    /// Block `idx`'s static memory-op shapes (superblock mode).
+    /// Block `idx`'s static memory-op shapes.
     pub(crate) fn shapes(&self, idx: u32) -> &[MemShape] {
         let b = &self.blocks[idx as usize];
         &self.mem_shapes[b.mems.start as usize..b.mems.end as usize]
@@ -727,8 +668,8 @@ impl BlockCache {
         }
     }
 
-    /// The batched trace event describing block `idx` (no memory
-    /// records — the block engine's shape).
+    /// The batched trace event describing block `idx` with no memory
+    /// records — what a block that touches no memory charges up front.
     pub(crate) fn event(&self, idx: u32) -> BlockEvent<'_> {
         let b = &self.blocks[idx as usize];
         BlockEvent {
@@ -743,8 +684,8 @@ impl BlockCache {
     }
 
     /// The batched trace event for the first `count` instructions of
-    /// block `idx`, carrying the memory records the executor captured —
-    /// the superblock engine's shape. `count` covers the whole block in
+    /// block `idx`, carrying the memory records the executor captured.
+    /// `count` covers the whole block in
     /// the common case; a store into text mid-block truncates to the
     /// executed prefix (line footprint and crossings recomputed for the
     /// prefix, which stays exact because lines ascend from the entry).
@@ -800,13 +741,7 @@ mod tests {
 
     fn cache_over(base: u64, span: usize) -> BlockCache {
         let mut c = BlockCache::default();
-        c.ensure_span(base, span, TranslationMode::Block);
-        c
-    }
-
-    fn supercache_over(base: u64, span: usize) -> BlockCache {
-        let mut c = BlockCache::default();
-        c.ensure_span(base, span, TranslationMode::Superblock);
+        c.ensure_span(base, span);
         c
     }
 
@@ -839,50 +774,10 @@ mod tests {
         assert_eq!(c.lookup(0x400001), None, "interior rips not indexed");
     }
 
+    /// Blocks span memory accesses (ending only at control transfers),
+    /// with the static shapes recorded in executor order.
     #[test]
-    fn memory_touching_instructions_end_blocks_in_block_mode() {
-        // mov; load; mov; store; mov; ret — D-side events must always
-        // come from a block's last instruction under the block engine.
-        let m = Mem::BaseDisp {
-            base: Reg::R10,
-            disp: 0,
-        };
-        let insts = [
-            Inst::MovRI {
-                dst: Reg::Rax,
-                imm: 1,
-            },
-            Inst::Load {
-                dst: Reg::Rcx,
-                mem: m,
-            },
-            Inst::MovRI {
-                dst: Reg::Rdx,
-                imm: 2,
-            },
-            Inst::Store {
-                mem: m,
-                src: Reg::Rdx,
-            },
-            Inst::Ret,
-        ];
-        let (mem, len) = memory_with(&insts, 0x400000);
-        let mut c = cache_over(0x400000, len as usize);
-        let mut entry = 0x400000;
-        let mut counts = Vec::new();
-        while c.in_span(entry) {
-            let idx = c.translate(&mem, entry).unwrap();
-            let ev = c.event(idx);
-            counts.push(ev.inst_count);
-            entry += ev.byte_len as u64;
-        }
-        assert_eq!(counts, [2, 2, 1], "mov+load | mov+store | ret");
-    }
-
-    /// The same run in superblock mode is one block spanning the memory
-    /// accesses, with the static shapes recorded in executor order.
-    #[test]
-    fn superblocks_span_memory_instructions_and_record_shapes() {
+    fn blocks_span_memory_instructions_and_record_shapes() {
         let m = Mem::BaseDisp {
             base: Reg::R10,
             disp: 0,
@@ -909,10 +804,10 @@ mod tests {
             Inst::Ret,
         ];
         let (mem, len) = memory_with(&insts, 0x400000);
-        let mut c = supercache_over(0x400000, len as usize);
+        let mut c = cache_over(0x400000, len as usize);
         let idx = c.translate(&mem, 0x400000).unwrap();
         let ev = c.event(idx);
-        assert_eq!(ev.inst_count, 7, "one superblock up to (and incl.) ret");
+        assert_eq!(ev.inst_count, 7, "one block up to (and incl.) ret");
         assert!(c.block_info(idx).2, "block_info reports the memory ops");
         let shapes: Vec<(u32, bool)> = c.shapes(idx).iter().map(|s| (s.inst, s.write)).collect();
         assert_eq!(
@@ -923,7 +818,7 @@ mod tests {
     }
 
     #[test]
-    fn superblock_chain_links_install_and_drop() {
+    fn chain_links_install_and_drop() {
         let insts = [
             Inst::MovRI {
                 dst: Reg::Rax,
@@ -937,7 +832,7 @@ mod tests {
             Inst::Ret,
         ];
         let (mem, len) = memory_with(&insts, 0x400000);
-        let mut c = supercache_over(0x400000, len as usize);
+        let mut c = cache_over(0x400000, len as usize);
         let a = c.translate(&mem, 0x400000).unwrap();
         let b_entry = 0x400000 + c.event(a).byte_len as u64;
         let b = c.translate(&mem, b_entry).unwrap();
@@ -985,7 +880,7 @@ mod tests {
         assert_eq!(ev.lines64, &[0x400000, 0x400040], "both lines spanned");
     }
 
-    /// A truncated event (SMC mid-superblock) recomputes the prefix's
+    /// A truncated event (SMC mid-block) recomputes the prefix's
     /// byte length, line footprint, and crossings exactly.
     #[test]
     fn prefix_event_truncates_exactly() {
@@ -1006,7 +901,7 @@ mod tests {
             Inst::Ret,
         ];
         let (mem, len) = memory_with(&insts, base);
-        let mut c = supercache_over(base, len as usize);
+        let mut c = cache_over(base, len as usize);
         let idx = c.translate(&mem, base).unwrap();
         let full = c.event(idx);
         assert_eq!(full.inst_count, 4);
@@ -1128,11 +1023,10 @@ mod tests {
         assert_eq!(c.lookup(0x700000), None);
     }
 
-    /// Uop mode packs like superblock mode and keeps the micro-op pool
-    /// parallel to the decoded pool across blocks, invalidation, and
-    /// retranslation.
+    /// Translation keeps the micro-op pool parallel to the decoded pool
+    /// across blocks, invalidation, and retranslation.
     #[test]
-    fn uop_mode_lowers_a_parallel_pool() {
+    fn translation_lowers_a_parallel_uop_pool() {
         let m = Mem::BaseDisp {
             base: Reg::R10,
             disp: 16,
@@ -1154,10 +1048,9 @@ mod tests {
             Inst::Ret,
         ];
         let (mem, len) = memory_with(&insts, 0x400000);
-        let mut c = BlockCache::default();
-        c.ensure_span(0x400000, len as usize, TranslationMode::Uop);
+        let mut c = cache_over(0x400000, len as usize);
         let idx = c.translate(&mem, 0x400000).unwrap();
-        assert_eq!(c.event(idx).inst_count, 4, "packs like a superblock");
+        assert_eq!(c.event(idx).inst_count, 4, "spans the load");
         assert_eq!(c.uops.len(), c.insts.len(), "pools parallel");
         let (range, _) = c.inst_range(idx);
         assert_eq!(
@@ -1170,7 +1063,7 @@ mod tests {
         assert_eq!(
             c.shapes(idx).len(),
             2,
-            "uop mode records D-side shapes (load + ret's pop) like superblock mode"
+            "D-side shapes recorded (load + ret's pop)"
         );
         // Invalidation + retranslation keeps the pools in lockstep.
         c.invalidate();

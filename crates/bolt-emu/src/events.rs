@@ -47,11 +47,11 @@ pub struct BranchEvent {
 /// One data-memory access made by an instruction inside a batched
 /// block event, with its effective address resolved at execute time.
 ///
-/// The superblock and uop engines record these while the block
-/// executes (the static shape — which instruction accesses memory,
-/// read or write — is known at translation time; only the address is
-/// dynamic) and deliver them interleaved with the fetch records so
-/// sinks observe exactly the step engine's event order.
+/// The uop engine records these while the block executes (the
+/// static shape — which instruction accesses memory, read or write — is
+/// known at translation time; only the address is dynamic) and delivers
+/// them interleaved with the fetch records so sinks observe exactly the
+/// step engine's event order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemRecord {
     /// Index into [`BlockEvent::fetches`] of the accessing instruction.
@@ -68,22 +68,15 @@ pub struct MemRecord {
 /// a translated basic block, covering the straight-line byte range
 /// `[entry, entry + byte_len)`.
 ///
-/// Emitted by the block-level execution engines. Under
-/// [`Machine::run_blocks`] blocks end at the first control transfer *or*
-/// memory-touching instruction, every `on_mem`/`on_branch` event a block
-/// produces comes from its last instruction, and `mems` is empty — so a
-/// sink that charges the whole fetch footprint here observes exactly
-/// the event order of per-instruction stepping. Under
-/// [`Machine::run_superblocks`] (and [`Machine::run_uops`], which
-/// shares its translation and batching) blocks span memory-touching
-/// instructions and the event carries the executed instructions' memory
-/// accesses in `mems`, interleaved with the fetches by instruction
-/// index; replaying fetch `i` then its memory records reproduces the
-/// step engine's order exactly (a block's terminating branch event, if
-/// any, is delivered live right after the block event).
+/// Emitted by the uop engine ([`Machine::run_uops`]). Blocks span
+/// memory-touching instructions and end only at control transfers; the
+/// event carries the executed instructions' memory accesses in `mems`,
+/// interleaved with the fetches by instruction index, so replaying
+/// fetch `i` then its memory records reproduces the step engine's order
+/// exactly. `mems` is empty for a block that touches no memory. A
+/// block's terminating branch event, if any, is delivered live right
+/// after the block event.
 ///
-/// [`Machine::run_blocks`]: crate::Machine::run_blocks
-/// [`Machine::run_superblocks`]: crate::Machine::run_superblocks
 /// [`Machine::run_uops`]: crate::Machine::run_uops
 #[derive(Debug, Clone, Copy)]
 pub struct BlockEvent<'a> {
@@ -96,7 +89,7 @@ pub struct BlockEvent<'a> {
     /// Per-instruction `(addr, len)` fetch records in retirement order —
     /// replaying `on_inst` over these (interleaved with `mems`) is
     /// exactly equivalent to this event (the default implementation
-    /// does just that). The block engines always emit at least one
+    /// does just that). The uop engine always emits at least one
     /// fetch; sinks treat an empty slice as "nothing retired".
     pub fetches: &'a [(u64, u8)],
     /// The 64-byte-aligned line addresses the block's bytes span,
@@ -107,8 +100,8 @@ pub struct BlockEvent<'a> {
     /// fetch touches two lines).
     pub crossings64: u32,
     /// Data-memory accesses of the block's instructions in program
-    /// order, each tagged with the index of its fetch (superblock and
-    /// uop engines; empty under the plain block engine).
+    /// order, each tagged with the index of its fetch (empty for a
+    /// block that touches no memory).
     pub mems: &'a [MemRecord],
 }
 
@@ -174,7 +167,7 @@ pub struct NullSink;
 
 impl TraceSink for NullSink {
     /// Discarding a batched event outright (instead of replaying it
-    /// into per-instruction no-ops) keeps the block engines' null-sink
+    /// into per-instruction no-ops) keeps the uop engine's null-sink
     /// cost at the dispatch itself.
     #[inline]
     fn on_block(&mut self, _ev: BlockEvent<'_>) {}

@@ -1,6 +1,6 @@
 //! The functional emulator core.
 
-use crate::block::{BlockCache, BlockTier, InjectedFault, TierCounts, TranslationMode};
+use crate::block::{BlockCache, BlockTier, InjectedFault, TierCounts};
 use crate::spill::SpillIndex;
 use crate::uop::{MicroOp, UopKind};
 use crate::{BranchEvent, BranchKind, MemRecord, Memory, TraceSink, MAX_INST_LEN};
@@ -140,7 +140,7 @@ enum LazyFlags {
 
 /// Which execution engine drives a run.
 ///
-/// All engines are observationally identical — same program output,
+/// Both engines are observationally identical — same program output,
 /// same retired-instruction counts, same trace-event stream as seen by
 /// every sink (`tests/engine_invariance.rs` proves byte-identical
 /// `Counters`, `Profile`, and rewritten ELF) — they differ only in
@@ -151,38 +151,28 @@ pub enum Engine {
     /// ([`Machine::step`] in a loop). The reference engine.
     #[default]
     Step,
-    /// Basic-block translation cache ([`Machine::run_blocks`]): decode a
-    /// straight-line run once (blocks end at the first control transfer
-    /// *or* memory-touching instruction), then execute its packed
-    /// entries with no per-step fetch probe, charging the I-side
-    /// footprint to the sink in one batched [`TraceSink::on_block`]
-    /// call.
-    Block,
-    /// Superblock translation with chaining
-    /// ([`Machine::run_superblocks`]): blocks span memory-touching
-    /// instructions (roughly doubling typical block length), the
-    /// batched event carries the executed instructions' memory records
-    /// interleaved with the fetches, and a block's terminator caches
-    /// its successor block so the hot loop skips the entry-index lookup
-    /// entirely.
-    Superblock,
-    /// Pre-resolved micro-op execution ([`Machine::run_uops`]): blocks
-    /// translate exactly like superblocks (same spanning, chaining, SMC,
-    /// and event batching), but each decoded instruction is additionally
-    /// *lowered* to a flat [`MicroOp`](crate::uop::MicroOp) — operands
-    /// pre-resolved to register-file indices, immediates sign-extended,
-    /// effective-address recipes split per addressing shape — so the hot
-    /// loop is a linear sweep over a dense `#[repr(u8)]`-tagged array
-    /// with no re-decode and no wide `Inst` match. Arithmetic flags are
-    /// computed lazily: only micro-ops whose flags a later consumer
-    /// actually reads record them (as pending operands), and dead flag
-    /// writes are skipped outright. The fastest tier.
+    /// Chained block translation with pre-resolved micro-ops
+    /// ([`Machine::run_uops`]): a straight-line run is decoded once
+    /// (blocks span memory-touching instructions and end only at
+    /// control transfers) and each decoded instruction is *lowered* to
+    /// a flat [`MicroOp`](crate::uop::MicroOp) — operands pre-resolved
+    /// to register-file indices, immediates sign-extended,
+    /// effective-address recipes split per addressing shape — so the
+    /// hot loop is a linear sweep over a dense `#[repr(u8)]`-tagged
+    /// array with no fetch probe, no re-decode, and no wide `Inst`
+    /// match. The sink sees one batched [`TraceSink::on_block`] per
+    /// block, carrying the executed instructions' memory records
+    /// interleaved with the fetches; a block's terminator caches its
+    /// successor block so the hot loop skips the entry-index lookup.
+    /// Arithmetic flags are computed lazily: only micro-ops whose flags
+    /// a later consumer actually reads record them (as pending
+    /// operands), and dead flag writes are skipped outright.
     Uop,
 }
 
 impl Engine {
     /// The accepted knob spellings, for error messages.
-    pub const VALID: &'static str = "step|block|superblock|uop";
+    pub const VALID: &'static str = "step|uop";
 }
 
 impl std::str::FromStr for Engine {
@@ -191,8 +181,6 @@ impl std::str::FromStr for Engine {
     fn from_str(s: &str) -> Result<Engine, String> {
         match s {
             "step" => Ok(Engine::Step),
-            "block" => Ok(Engine::Block),
-            "superblock" => Ok(Engine::Superblock),
             "uop" => Ok(Engine::Uop),
             other => Err(format!("expected one of {}, got {other:?}", Engine::VALID)),
         }
@@ -203,8 +191,6 @@ impl fmt::Display for Engine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Engine::Step => "step",
-            Engine::Block => "block",
-            Engine::Superblock => "superblock",
             Engine::Uop => "uop",
         })
     }
@@ -213,8 +199,8 @@ impl fmt::Display for Engine {
 /// Resolves an engine knob.
 ///
 /// * `Some(engine)`: that engine.
-/// * `None` (auto): the `BOLT_ENGINE` environment override (`step`,
-///   `block`, `superblock`, or `uop`) if set, else [`Engine::Step`]. Like
+/// * `None` (auto): the `BOLT_ENGINE` environment override (`step` or
+///   `uop`) if set, else [`Engine::Step`]. Like
 ///   `BOLT_THREADS` / `BOLT_SHARDS`, a set-but-garbled override fails
 ///   loudly instead of silently de-fanging a CI leg.
 pub fn resolve_engine(engine: Option<Engine>) -> Engine {
@@ -230,7 +216,7 @@ pub fn resolve_engine(engine: Option<Engine>) -> Engine {
     Engine::Step
 }
 
-/// The superblock engine's capture sink: records the executing block's
+/// The uop engine's capture sink: records the executing block's
 /// memory accesses (with their execute-time-resolved addresses, tagged
 /// by instruction index) and its terminating branch, for delivery as
 /// one interleaved [`BlockEvent`](crate::BlockEvent) followed by the
@@ -358,11 +344,10 @@ pub struct Machine {
     /// cached decode, so `note_text_write`'s hot path is two compares.
     icache_watch_lo: u64,
     icache_watch_hi: u64,
-    /// Basic-block translation cache for [`run_blocks`](Machine::run_blocks)
-    /// and [`run_superblocks`](Machine::run_superblocks).
+    /// Basic-block translation cache for [`run_uops`](Machine::run_uops).
     blocks: BlockCache,
-    /// Reused capture buffer for the superblock engine's per-block
-    /// memory records.
+    /// Reused capture buffer for the uop engine's per-block memory
+    /// records.
     mem_buf: Vec<MemRecord>,
     /// Pending lazy-flags state (uop engine only; `Clean` — and `flags`
     /// architectural — at every observable boundary).
@@ -679,7 +664,7 @@ impl Machine {
     /// Executes one already-decoded instruction at `rip` (occupying
     /// `len` bytes), advancing `self.rip`. The caller has already
     /// charged the fetch to the sink — `on_inst` ([`step`](Machine::step))
-    /// or a batched `on_block` ([`run_blocks`](Machine::run_blocks)).
+    /// or a batched `on_block` ([`run_uops`](Machine::run_uops)).
     fn exec_inst<S: TraceSink + ?Sized>(
         &mut self,
         rip: u64,
@@ -897,8 +882,6 @@ impl Machine {
     ) -> Result<RunResult, EmuError> {
         match engine {
             Engine::Step => self.run_steps(sink, max_steps),
-            Engine::Block => self.run_blocks(sink, max_steps),
-            Engine::Superblock => self.run_superblocks(sink, max_steps),
             Engine::Uop => self.run_uops(sink, max_steps),
         }
     }
@@ -922,135 +905,62 @@ impl Machine {
         })
     }
 
-    /// The block engine: executes translated basic blocks from the
-    /// translation cache — decode once per block, then a tight loop over
-    /// packed pre-decoded entries with a single batched
-    /// [`TraceSink::on_block`] charge for the block's I-side footprint.
+    /// The uop engine: executes translated blocks from the translation
+    /// cache — decode and lower once per block, then a linear sweep
+    /// over *lowered micro-ops* ([`crate::uop`]) instead of
+    /// re-dispatching decoded [`Inst`]s: operands are already direct
+    /// register-file indices, immediates are sign-extended, effective
+    /// addresses are per-shape recipes, and the dispatch is one dense
+    /// jump table over a `#[repr(u8)]` tag. Arithmetic flags are lazy:
+    /// only micro-ops whose flags a later op actually consumes record
+    /// them (as pending operands in [`LazyFlags`]), the full [`Flags`]
+    /// — including the `pf` popcount — materializes at the first
+    /// consumer, and provably-dead flag writes are skipped outright.
     ///
-    /// Blocks end at the first control transfer *or* memory-touching
-    /// instruction (so all `on_mem`/`on_branch` events come from a
-    /// block's final instruction, and the sink-visible event order is
-    /// exactly the step engine's), self-invalidate on stores into text,
-    /// and code outside the flat text span translates through the
-    /// cache's sorted spill index. A step budget landing inside a block
-    /// finishes with per-instruction stepping, so [`Exit::MaxSteps`]
-    /// triggers at exactly the same retired count as the step engine.
-    ///
-    /// # Errors
-    ///
-    /// See [`EmuError`].
-    pub fn run_blocks<S: TraceSink + ?Sized>(
-        &mut self,
-        sink: &mut S,
-        max_steps: u64,
-    ) -> Result<RunResult, EmuError> {
-        self.blocks.ensure_span(
-            self.icache_base,
-            self.icache_index.len(),
-            TranslationMode::Block,
-        );
-        let mut steps = 0u64;
-        while steps < max_steps {
-            // Reclaim invalidated pools only between blocks: a store is
-            // always a block's last instruction, so nothing is ever
-            // executing out of the pools when they are rebuilt.
-            self.blocks.reclaim();
-            let rip = self.rip;
-            let idx = match self.blocks.lookup(rip) {
-                Some(i) => i,
-                None => self.blocks.translate(&self.mem, rip)?,
-            };
-            let (range, entry) = self.blocks.inst_range(idx);
-            let count = range.len() as u64;
-            if max_steps - steps < count {
-                // The budget lands inside this block: finish with exact
-                // per-instruction stepping so MaxSteps fires at the same
-                // retired count as the step engine.
-                while steps < max_steps {
-                    steps += 1;
-                    if let Some(exit) = self.step(sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
-                }
-                break;
-            }
-            if self.blocks.tier(idx) == BlockTier::Step {
-                // Degraded block: its packed entries are untrusted, so
-                // retire the same instruction count through the
-                // interpreter's architectural fetch path instead.
-                for _ in 0..count {
-                    steps += 1;
-                    if let Some(exit) = self.step(sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
-                }
-                continue;
-            }
-            sink.on_block(self.blocks.event(idx));
-            let mut at = entry;
-            for i in range {
-                let (inst, len) = self.blocks.inst(i);
-                steps += 1;
-                if let Some(exit) = self.exec_inst(at, inst, len, sink)? {
-                    return Ok(RunResult { exit, steps });
-                }
-                at += len as u64;
-            }
-        }
-        Ok(RunResult {
-            exit: Exit::MaxSteps,
-            steps,
-        })
-    }
-
-    /// The superblock engine: like [`run_blocks`](Machine::run_blocks),
-    /// but blocks span memory-touching instructions (ending only at
-    /// control transfers), and consecutive blocks *chain* — a block's
-    /// terminator caches its successor block index so the hot loop
-    /// skips the entry-index lookup on direct jumps and fall-throughs.
-    ///
-    /// Event-order exactness: a block with no memory-touching
-    /// instructions charges its event up front (all its events are
-    /// fetches, plus a possible terminating branch — already in step
-    /// order). A block with memory accesses executes against a capture
-    /// buffer first, then emits one [`TraceSink::on_block`] whose
-    /// fetch records and [`MemRecord`]s interleave by instruction
-    /// index, followed by the terminator's live branch event — exactly
-    /// the step engine's order. Stores into cached text set the cache's
-    /// dirty flag; the engine checks it after every executed
-    /// instruction and abandons the packed entries mid-block (emitting
-    /// the executed prefix's event), so self-modifying code — even code
-    /// patching *later instructions of the same block* — refetches the
-    /// patched bytes just like the step engine. A step budget landing
-    /// inside a block finishes with per-instruction stepping, so
-    /// [`Exit::MaxSteps`] fires at exactly the same retired count.
+    /// Consecutive blocks *chain*: a block's terminator caches its
+    /// successor block index, so the hot loop skips the entry-index
+    /// lookup on direct jumps and fall-throughs. Each block runs through
+    /// [`exec_block`](Machine::exec_block), which batches its I-side
+    /// footprint and memory accesses into one [`TraceSink::on_block`]
+    /// in exactly the step engine's event order and abandons a block
+    /// whose text a store patched. A block whose translation failed
+    /// validation degrades instead of aborting the run: to its decoded
+    /// instructions ([`BlockTier::Decoded`], same loop and batching),
+    /// or to per-instruction stepping ([`BlockTier::Step`]). A step
+    /// budget landing inside a block finishes with per-instruction
+    /// stepping, so [`Exit::MaxSteps`] fires at exactly the same
+    /// retired count as the step engine. Pending lazy flags
+    /// materialize at every boundary where `flags` becomes observable:
+    /// flag consumers, the fallback paths, and run exit.
     ///
     /// # Errors
     ///
     /// See [`EmuError`].
-    pub fn run_superblocks<S: TraceSink + ?Sized>(
+    pub fn run_uops<S: TraceSink + ?Sized>(
         &mut self,
         sink: &mut S,
         max_steps: u64,
     ) -> Result<RunResult, EmuError> {
         let mut mems = std::mem::take(&mut self.mem_buf);
-        let r = self.run_superblocks_inner(sink, max_steps, &mut mems);
+        let r = self.run_chained(sink, max_steps, &mut mems);
+        // Whatever pending state the hot loop left becomes architectural
+        // before flags are observable to the caller — on normal exit,
+        // MaxSteps, and errors alike.
+        self.materialize_flags();
         mems.clear();
         self.mem_buf = mems;
         r
     }
 
-    fn run_superblocks_inner<S: TraceSink + ?Sized>(
+    /// The chained dispatch loop behind [`run_uops`](Machine::run_uops).
+    fn run_chained<S: TraceSink + ?Sized>(
         &mut self,
         sink: &mut S,
         max_steps: u64,
         mems: &mut Vec<MemRecord>,
     ) -> Result<RunResult, EmuError> {
-        self.blocks.ensure_span(
-            self.icache_base,
-            self.icache_index.len(),
-            TranslationMode::Superblock,
-        );
+        self.blocks
+            .ensure_span(self.icache_base, self.icache_index.len());
         let mut steps = 0u64;
         // The block just executed, if its chain links are still valid —
         // the source end of the next transition's cached link.
@@ -1075,12 +985,13 @@ impl Machine {
                     i
                 }
             };
-            let (range, _, _) = self.blocks.block_info(idx);
-            let count = range.len() as u64;
+            let count = self.blocks.block_info(idx).0.len() as u64;
             if max_steps - steps < count {
-                // The budget lands inside this block: finish with exact
-                // per-instruction stepping so MaxSteps fires at the same
-                // retired count as the step engine.
+                // The budget lands inside this block: materialize any
+                // pending flags and finish with exact per-instruction
+                // stepping so MaxSteps fires at the same retired count
+                // as the step engine.
+                self.materialize_flags();
                 while steps < max_steps {
                     steps += 1;
                     if let Some(exit) = self.step(sink)? {
@@ -1089,20 +1000,32 @@ impl Machine {
                 }
                 break;
             }
-            if self.blocks.tier(idx) == BlockTier::Step {
-                // Degraded block: its packed entries are untrusted, so
-                // retire the same instruction count through the
-                // interpreter's architectural fetch path instead.
-                for _ in 0..count {
-                    steps += 1;
-                    if let Some(exit) = self.step(sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
+            // A degraded block materializes any pending lazy flags
+            // first: its fallback path reads and writes `flags` eagerly.
+            let (executed, outcome) = match self.blocks.tier(idx) {
+                BlockTier::Full => self.exec_block::<true, S>(idx, sink, mems),
+                BlockTier::Decoded => {
+                    // The lowered micro-ops are untrusted but the
+                    // decoded entries validated clean — execute those;
+                    // the uop pool is never read.
+                    self.materialize_flags();
+                    self.exec_block::<false, S>(idx, sink, mems)
                 }
-                prev = None;
-                continue;
-            }
-            let (executed, outcome) = self.exec_block_insts(idx, sink, mems);
+                BlockTier::Step => {
+                    // The packed entries are untrusted end to end;
+                    // retire the same instruction count through the
+                    // interpreter's architectural fetch path.
+                    self.materialize_flags();
+                    for _ in 0..count {
+                        steps += 1;
+                        if let Some(exit) = self.step(sink)? {
+                            return Ok(RunResult { exit, steps });
+                        }
+                    }
+                    prev = None;
+                    continue;
+                }
+            };
             steps += executed as u64;
             if let Some(exit) = outcome? {
                 return Ok(RunResult { exit, steps });
@@ -1119,20 +1042,26 @@ impl Machine {
         })
     }
 
-    /// Executes one translated block's *decoded* instruction entries
-    /// with superblock event batching, returning how many instructions
-    /// were attempted (including one that exited or faulted) and the
-    /// outcome of the last attempt. Shared by the superblock engine and
-    /// the uop engine's decoded-tier fallback.
+    /// Executes one translated block — its micro-ops when `UOPS`, its
+    /// decoded instruction entries otherwise — with batched events,
+    /// returning how many instructions were attempted (including one
+    /// that exited or faulted) and the outcome of the last attempt.
     ///
     /// A block with no memory-touching instructions charges its event
     /// up front and executes with the live sink; a block with memory
     /// accesses executes against a capture buffer, then emits one
     /// prefix event with interleaved records followed by the
     /// terminator's branch — exactly the step engine's event order.
-    /// `executed < range.len()` means the block was abandoned mid-way
-    /// (SMC dirty, exit, or error) and any chain state is stale.
-    fn exec_block_insts<S: TraceSink + ?Sized>(
+    /// Stores into cached text set the cache's dirty flag; the loop
+    /// checks it after every executed instruction and abandons the
+    /// packed entries mid-block (emitting the executed prefix's event),
+    /// so self-modifying code — even code patching *later instructions
+    /// of the same block* — refetches the patched bytes just like the
+    /// step engine. `executed < range.len()` means the block was
+    /// abandoned mid-way (SMC dirty, exit, or error) and any chain
+    /// state is stale.
+    #[inline(always)]
+    fn exec_block<const UOPS: bool, S: TraceSink + ?Sized>(
         &mut self,
         idx: u32,
         sink: &mut S,
@@ -1140,27 +1069,27 @@ impl Machine {
     ) -> (u32, Result<Option<Exit>, EmuError>) {
         let (range, entry, has_mems) = self.blocks.block_info(idx);
         if !has_mems {
-            // No D-side events anywhere in the block: charge the
-            // event up front and execute with the live sink (its
-            // only other possible event, a terminating branch,
-            // follows the fetches in step order too).
+            // No D-side events anywhere in the block: charge the event
+            // up front and execute with the live sink (its only other
+            // possible event, a terminating branch, follows the fetches
+            // in step order too).
             sink.on_block(self.blocks.event(idx));
             let mut at = entry;
             let mut executed = 0u32;
             for i in range {
-                let (inst, len) = self.blocks.inst(i);
                 executed += 1;
-                match self.exec_inst(at, inst, len, sink) {
+                let (len, r) = self.exec_entry::<UOPS, S>(i, at, sink);
+                match r {
                     Ok(None) => {}
                     other => return (executed, other),
                 }
-                at += len as u64;
+                at += len;
             }
             return (executed, Ok(None));
         }
-        // Memory accesses mid-block: execute against a capture
-        // buffer, then emit one event carrying the interleaved
-        // fetch + memory records, then the terminator's branch.
+        // Memory accesses mid-block: execute against a capture buffer,
+        // then emit one event carrying the interleaved fetch + memory
+        // records, then the terminator's branch.
         mems.clear();
         let mut cap = CaptureSink {
             mems: &mut *mems,
@@ -1171,22 +1100,21 @@ impl Machine {
         let mut executed = 0u32;
         let mut outcome = Ok(None);
         for i in range {
-            let (inst, len) = self.blocks.inst(i);
             cap.inst = executed;
             executed += 1;
-            match self.exec_inst(at, inst, len, &mut cap) {
+            let (len, r) = self.exec_entry::<UOPS, _>(i, at, &mut cap);
+            match r {
                 Ok(None) => {}
                 other => {
                     outcome = other;
                     break;
                 }
             }
-            at += len as u64;
-            // A store may have patched cached text — possibly this
-            // very block's later instructions. Abandon the packed
-            // entries; the prefix event reports exactly what
-            // retired, and the patched bytes retranslate next
-            // iteration.
+            at += len;
+            // A store may have patched cached text — possibly this very
+            // block's later entries. Abandon the packed entries; the
+            // prefix event reports exactly what retired, and the patched
+            // bytes retranslate next iteration.
             if self.blocks.is_dirty() {
                 break;
             }
@@ -1210,212 +1138,23 @@ impl Machine {
         (executed, outcome)
     }
 
-    /// The uop engine: superblock translation and chaining, but the hot
-    /// loop executes *lowered micro-ops* ([`crate::uop`]) instead of
-    /// re-dispatching decoded [`Inst`]s — operands are already direct
-    /// register-file indices, immediates are sign-extended, effective
-    /// addresses are per-shape recipes, and the dispatch is one dense
-    /// jump table over a `#[repr(u8)]` tag. Arithmetic flags are lazy:
-    /// only micro-ops whose flags a later op actually consumes record
-    /// them (as pending operands in [`LazyFlags`]), the full
-    /// [`Flags`] — including the `pf` popcount — materializes at the
-    /// first consumer, and provably-dead flag writes are skipped
-    /// outright.
-    ///
-    /// Everything the superblock engine guarantees carries over
-    /// unchanged — event order (batched [`TraceSink::on_block`] with
-    /// interleaved memory records, then the live branch), SMC
-    /// self-invalidation with mid-block abandonment, chain links, spill
-    /// translation, and the exact [`Exit::MaxSteps`] fallback to
-    /// per-instruction stepping (the decoded pool stays populated
-    /// alongside the micro-ops for precisely that path). Pending lazy
-    /// flags materialize at every boundary where `flags` becomes
-    /// observable: flag consumers, the stepping fallback, and run exit.
-    ///
-    /// # Errors
-    ///
-    /// See [`EmuError`].
-    pub fn run_uops<S: TraceSink + ?Sized>(
+    /// Executes pool entry `i` at `at` — the lowered micro-op when
+    /// `UOPS`, the decoded instruction otherwise — returning its length
+    /// and outcome.
+    #[inline(always)]
+    fn exec_entry<const UOPS: bool, S: TraceSink + ?Sized>(
         &mut self,
+        i: usize,
+        at: u64,
         sink: &mut S,
-        max_steps: u64,
-    ) -> Result<RunResult, EmuError> {
-        let mut mems = std::mem::take(&mut self.mem_buf);
-        let r = self.run_uops_inner(sink, max_steps, &mut mems);
-        // Whatever pending state the hot loop left becomes architectural
-        // before flags are observable to the caller — on normal exit,
-        // MaxSteps, and errors alike.
-        self.materialize_flags();
-        mems.clear();
-        self.mem_buf = mems;
-        r
-    }
-
-    fn run_uops_inner<S: TraceSink + ?Sized>(
-        &mut self,
-        sink: &mut S,
-        max_steps: u64,
-        mems: &mut Vec<MemRecord>,
-    ) -> Result<RunResult, EmuError> {
-        self.blocks.ensure_span(
-            self.icache_base,
-            self.icache_index.len(),
-            TranslationMode::Uop,
-        );
-        let mut steps = 0u64;
-        // The block just executed, if its chain links are still valid —
-        // the source end of the next transition's cached link.
-        let mut prev: Option<u32> = None;
-        while steps < max_steps {
-            // Reclaim invalidated pools only between blocks; any chain
-            // state died with them.
-            if self.blocks.reclaim() {
-                prev = None;
-            }
-            let rip = self.rip;
-            let idx = match prev.and_then(|p| self.blocks.linked(p, rip)) {
-                Some(i) => i,
-                None => {
-                    let i = match self.blocks.lookup(rip) {
-                        Some(i) => i,
-                        None => self.blocks.translate(&self.mem, rip)?,
-                    };
-                    if let Some(p) = prev {
-                        self.blocks.install_link(p, rip, i);
-                    }
-                    i
-                }
-            };
-            let (range, entry, has_mems) = self.blocks.block_info(idx);
-            let count = range.len() as u64;
-            if max_steps - steps < count {
-                // The budget lands inside this block: materialize any
-                // pending flags and finish with exact per-instruction
-                // stepping so MaxSteps fires at the same retired count
-                // as the step engine.
-                self.materialize_flags();
-                while steps < max_steps {
-                    steps += 1;
-                    if let Some(exit) = self.step(sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
-                }
-                break;
-            }
-            let tier = self.blocks.tier(idx);
-            if tier != BlockTier::Full {
-                // Degraded block: any pending lazy flags become
-                // architectural before a fallback path reads or
-                // rewrites them.
-                self.materialize_flags();
-                if tier == BlockTier::Step {
-                    // The packed entries are untrusted end to end;
-                    // retire the same instruction count through the
-                    // interpreter's architectural fetch path.
-                    for _ in 0..count {
-                        steps += 1;
-                        if let Some(exit) = self.step(sink)? {
-                            return Ok(RunResult { exit, steps });
-                        }
-                    }
-                    prev = None;
-                    continue;
-                }
-                // Decoded tier: the lowered micro-ops are untrusted but
-                // the decoded entries validated clean — execute them
-                // with full superblock batching; the uop pool is never
-                // read.
-                let (executed, outcome) = self.exec_block_insts(idx, sink, mems);
-                steps += executed as u64;
-                if let Some(exit) = outcome? {
-                    return Ok(RunResult { exit, steps });
-                }
-                prev = if (executed as u64) < count {
-                    None
-                } else {
-                    Some(idx)
-                };
-                continue;
-            }
-            if !has_mems {
-                // No D-side events anywhere in the block: charge the
-                // event up front and execute with the live sink.
-                sink.on_block(self.blocks.event(idx));
-                let mut at = entry;
-                for i in range {
-                    let op = self.blocks.uop(i);
-                    steps += 1;
-                    if let Some(exit) = self.exec_uop(at, op, sink)? {
-                        return Ok(RunResult { exit, steps });
-                    }
-                    at += op.len as u64;
-                }
-                prev = Some(idx);
-                continue;
-            }
-            // Memory accesses mid-block: execute against a capture
-            // buffer, then emit one event carrying the interleaved
-            // fetch + memory records, then the terminator's branch.
-            mems.clear();
-            let mut cap = CaptureSink {
-                mems: &mut *mems,
-                inst: 0,
-                branch: None,
-            };
-            let mut at = entry;
-            let mut executed = 0u32;
-            let mut outcome = Ok(None);
-            for i in range {
-                let op = self.blocks.uop(i);
-                cap.inst = executed;
-                steps += 1;
-                executed += 1;
-                match self.exec_uop(at, op, &mut cap) {
-                    Ok(None) => {}
-                    other => {
-                        outcome = other;
-                        break;
-                    }
-                }
-                at += op.len as u64;
-                // A store may have patched cached text — possibly this
-                // very block's later micro-ops. Abandon the packed
-                // entries; the prefix event reports exactly what
-                // retired, and the patched bytes retranslate (and
-                // re-lower) next iteration.
-                if self.blocks.is_dirty() {
-                    break;
-                }
-            }
-            let branch = cap.branch;
-            debug_assert!(
-                {
-                    let shapes = self.blocks.shapes(idx);
-                    mems.len() <= shapes.len()
-                        && mems
-                            .iter()
-                            .zip(shapes)
-                            .all(|(m, s)| m.inst == s.inst && m.write == s.write)
-                },
-                "captured records must match the translation-time shapes"
-            );
-            sink.on_block(self.blocks.prefix_event(idx, executed, mems));
-            if let Some(ev) = branch {
-                sink.on_branch(ev);
-            }
-            if let Some(exit) = outcome? {
-                return Ok(RunResult { exit, steps });
-            }
-            prev = if (executed as u64) < count {
-                None
-            } else {
-                Some(idx)
-            };
+    ) -> (u64, Result<Option<Exit>, EmuError>) {
+        if UOPS {
+            let op = self.blocks.uop(i);
+            (op.len as u64, self.exec_uop(at, op, sink))
+        } else {
+            let (inst, len) = self.blocks.inst(i);
+            (len as u64, self.exec_inst(at, inst, len, sink))
         }
-        Ok(RunResult {
-            exit: Exit::MaxSteps,
-            steps,
-        })
     }
 
     /// Executes one lowered micro-op at `rip`, advancing `self.rip`. The
@@ -1423,8 +1162,8 @@ impl Machine {
     /// observationally identical per instruction (same memory, branch,
     /// output, and exit behavior through the sink), but with operands
     /// pre-resolved and flag writes deferred into [`LazyFlags`] (and
-    /// skipped entirely when provably dead). Inlined into its only
-    /// caller, the uop hot loop.
+    /// skipped entirely when provably dead). Inlined into the uop hot
+    /// loop.
     #[inline(always)]
     fn exec_uop<S: TraceSink + ?Sized>(
         &mut self,
@@ -2126,7 +1865,7 @@ mod tests {
         );
         assert_eq!(m.icache_base, 0x400000);
         // Pinned to the step engine: this test asserts the *decode*
-        // cache's internals (the block engine never consults it).
+        // cache's internals (the uop engine never consults it).
         let r = m.run_engine(&mut NullSink, 100, Engine::Step).unwrap();
         assert_eq!(r.exit, Exit::Exited(5));
         assert_eq!(
@@ -2153,46 +1892,42 @@ mod tests {
     }
 
     #[test]
-    fn block_engines_match_step_engine_observably() {
+    fn uop_engine_matches_step_engine_observably() {
         let elf = emitting_elf(42);
         let (rs, ms, ss) = observe(&elf, Engine::Step, u64::MAX);
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-            let (rb, mb, sb) = observe(&elf, engine, u64::MAX);
-            assert_eq!(rs, rb, "{engine}: exit and retired count identical");
-            assert_eq!(ms.output, mb.output, "{engine}");
-            assert_eq!(ms.regs, mb.regs, "{engine}");
-            assert_eq!(ms.flags, mb.flags, "{engine}");
-            assert_eq!(
-                format!("{ss:?}"),
-                format!("{sb:?}"),
-                "{engine}: every counted trace event identical"
-            );
-        }
+        let (ru, mu, su) = observe(&elf, Engine::Uop, u64::MAX);
+        assert_eq!(rs, ru, "exit and retired count identical");
+        assert_eq!(ms.output, mu.output);
+        assert_eq!(ms.regs, mu.regs);
+        assert_eq!(ms.flags, mu.flags);
+        assert_eq!(
+            format!("{ss:?}"),
+            format!("{su:?}"),
+            "every counted trace event identical"
+        );
     }
 
-    /// Satellite regression: `Exit::MaxSteps` must trigger at exactly
-    /// the same retired-instruction count under every engine, including
-    /// budgets landing in the middle of a translated block.
+    /// `Exit::MaxSteps` must trigger at exactly the same
+    /// retired-instruction count under both engines, including budgets
+    /// landing in the middle of a translated block.
     #[test]
     fn max_steps_boundary_identical_across_engines() {
         let elf = emitting_elf(7); // 5 instructions, one straight block
         for budget in 1..=5u64 {
             let (rs, ms, ss) = observe(&elf, Engine::Step, budget);
-            for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-                let (rb, mb, sb) = observe(&elf, engine, budget);
-                assert_eq!(rs, rb, "{engine} budget {budget}: exit/steps");
-                assert_eq!(rs.steps, budget.min(5), "budget {budget}");
-                assert_eq!(ms.rip, mb.rip, "{engine} budget {budget}: same rip");
-                assert_eq!(ms.output, mb.output, "{engine} budget {budget}");
-                assert_eq!(ss.insts, sb.insts, "{engine} budget {budget}");
-            }
+            let (ru, mu, su) = observe(&elf, Engine::Uop, budget);
+            assert_eq!(rs, ru, "budget {budget}: exit/steps");
+            assert_eq!(rs.steps, budget.min(5), "budget {budget}");
+            assert_eq!(ms.rip, mu.rip, "budget {budget}: same rip");
+            assert_eq!(ms.output, mu.output, "budget {budget}");
+            assert_eq!(ss.insts, su.insts, "budget {budget}");
         }
     }
 
     /// Code with no flat text span (poked directly into memory) runs
     /// through the step engine's sorted spill decode cache — or, under
-    /// the block engines, through the block cache's sorted spill index
-    /// (the out-of-span satellite) — and every engine agrees.
+    /// the uop engine, through the block cache's sorted spill index —
+    /// and both engines agree.
     #[test]
     fn spill_region_code_runs_identically_under_all_engines() {
         let insts = [
@@ -2222,24 +1957,22 @@ mod tests {
         let (rs, rax_s, insts_s, spill_s) = run(Engine::Step);
         assert_eq!(rax_s, 7);
         assert_eq!(spill_s, 4, "step: every instruction in the spill vec");
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-            let (rb, rax_b, insts_b, spill_b) = run(engine);
-            assert_eq!(rs, rb, "{engine}");
-            assert_eq!((rax_s, insts_s), (rax_b, insts_b), "{engine}");
-            assert_eq!(
-                spill_b, 0,
-                "{engine}: out-of-span code translates into spill-indexed \
-                 blocks instead of stepping through the decode cache"
-            );
-        }
+        let (ru, rax_u, insts_u, spill_u) = run(Engine::Uop);
+        assert_eq!(rs, ru);
+        assert_eq!((rax_s, insts_s), (rax_u, insts_u));
+        assert_eq!(
+            spill_u, 0,
+            "out-of-span code translates into spill-indexed blocks \
+             instead of stepping through the decode cache"
+        );
     }
 
     /// The full sink-visible event sequence — fetches, memory accesses,
-    /// and branches, in order — must be identical across all three
-    /// engines on a program interleaving ALU work, loads, stores,
-    /// pushes/pops, calls, and returns. This is the superblock engine's
-    /// core ordering obligation: its batched events carry interleaved
-    /// fetch + memory records that replay in exactly the step order.
+    /// and branches, in order — must be identical across both engines on
+    /// a program interleaving ALU work, loads, stores, pushes/pops,
+    /// calls, and returns. This is the uop engine's core ordering
+    /// obligation: its batched events carry interleaved fetch + memory
+    /// records that replay in exactly the step order.
     #[test]
     fn event_order_identical_across_engines() {
         #[derive(Debug, PartialEq)]
@@ -2344,22 +2077,20 @@ mod tests {
         };
         let (rs, out_s, log_s) = run(Engine::Step);
         assert!(log_s.iter().any(|e| matches!(e, E::M(..))), "mems present");
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-            let (r, out, log) = run(engine);
-            assert_eq!(rs, r, "{engine}");
-            assert_eq!(out_s, out, "{engine}");
-            assert_eq!(log_s, log, "{engine}: exact event sequence");
-        }
+        let (r, out, log) = run(Engine::Uop);
+        assert_eq!(rs, r);
+        assert_eq!(out_s, out);
+        assert_eq!(log_s, log, "exact event sequence");
     }
 
-    /// Chaining: after a superblock loop warms up, block transitions
-    /// resolve through the terminator's cached links without consulting
-    /// the entry index — and the run stays observationally identical.
+    /// Chaining: after a loop warms up, block transitions resolve
+    /// through the terminator's cached links without consulting the
+    /// entry index — and the run stays observationally identical.
     #[test]
-    fn superblock_chaining_resolves_loop_transitions() {
+    fn chaining_resolves_loop_transitions() {
         let mut m = Machine::new();
         m.load_elf(&emitting_elf(3));
-        let r = m.run_engine(&mut NullSink, u64::MAX, Engine::Superblock);
+        let r = m.run_engine(&mut NullSink, u64::MAX, Engine::Uop);
         assert_eq!(r.unwrap().exit, Exit::Exited(3));
         // The single straight-line block chains nothing (it exits), but
         // a looping program installs and follows links.
@@ -2389,7 +2120,7 @@ mod tests {
         let mut m = machine_with(&insts);
         m.push(RETURN_SENTINEL, &mut NullSink);
         let mut sink = CountingSink::default();
-        let r = m.run_engine(&mut sink, 1000, Engine::Superblock).unwrap();
+        let r = m.run_engine(&mut sink, 1000, Engine::Uop).unwrap();
         assert_eq!(r.exit, Exit::Returned);
         assert_eq!(m.reg(Reg::Rax), 4);
         // The loop block (head..jcc) links both arms: back to the head
@@ -2530,7 +2261,7 @@ mod tests {
         assert!(m.icache_spill.main.windows(2).all(|w| w[0].0 < w[1].0));
         m.rip = 0x500000;
         m.output.clear();
-        let r = m.run_engine(&mut NullSink, 100, Engine::Block).unwrap();
+        let r = m.run_engine(&mut NullSink, 100, Engine::Uop).unwrap();
         assert_eq!(r.exit, Exit::Exited(9));
         assert_eq!(m.output, vec![9]);
     }
@@ -2645,20 +2376,17 @@ mod tests {
     }
 
     /// A healthy image degrades nothing: every translated block runs at
-    /// full tier under every block engine.
+    /// full tier.
     #[test]
     fn clean_run_translates_every_block_at_full_tier() {
-        let elf = tiered_elf();
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-            let (_, m, _) = observe_fault(&elf, engine, None);
-            let t = m.tier_counts();
-            assert!(t.full > 0, "{engine}: blocks were translated");
-            assert_eq!(t.degraded(), 0, "{engine}: nothing degraded");
-        }
+        let (_, m, _) = observe_fault(&tiered_elf(), Engine::Uop, None);
+        let t = m.tier_counts();
+        assert!(t.full > 0, "blocks were translated");
+        assert_eq!(t.degraded(), 0, "nothing degraded");
     }
 
-    /// An injected uop-structural fault degrades exactly that block to
-    /// the decoded tier, with every observable identical to the step
+    /// An injected uop-tier fault degrades exactly that block to the
+    /// decoded tier, with every observable identical to the step
     /// engine — translation failure must never abort a run.
     #[test]
     fn injected_uop_fault_degrades_to_decoded_tier_identically() {
@@ -2680,57 +2408,90 @@ mod tests {
     }
 
     /// An injected semantic-validation fault degrades exactly that
-    /// block to the step tier under every block engine, again with
-    /// observables identical to pure stepping.
+    /// block to the step tier, again with observables identical to pure
+    /// stepping.
     #[test]
     fn injected_sem_fault_degrades_to_step_tier_identically() {
         let elf = tiered_elf();
         let (rs, ms, ss) = observe_fault(&elf, Engine::Step, None);
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-            for nth in 0..2u64 {
-                let (rb, mb, sb) =
-                    observe_fault(&elf, engine, Some((nth, InjectedFault::SemInvalid)));
-                let t = mb.tier_counts();
-                assert_eq!(t.step, 1, "{engine} block {nth}: fell back to step");
-                assert_eq!(t.decoded, 0, "{engine} block {nth}");
-                assert!(t.full > 0, "{engine} block {nth}: siblings full");
-                assert_eq!(rs, rb, "{engine} block {nth}: exit/steps");
-                assert_eq!(ms.output, mb.output, "{engine} block {nth}");
-                assert_eq!(ms.regs, mb.regs, "{engine} block {nth}");
-                assert_eq!(ms.flags, mb.flags, "{engine} block {nth}");
-                assert_eq!(
-                    format!("{ss:?}"),
-                    format!("{sb:?}"),
-                    "{engine} block {nth}: events"
-                );
-            }
+        for nth in 0..2u64 {
+            let (rb, mb, sb) =
+                observe_fault(&elf, Engine::Uop, Some((nth, InjectedFault::SemInvalid)));
+            let t = mb.tier_counts();
+            assert_eq!(t.step, 1, "block {nth}: fell back to step");
+            assert_eq!(t.decoded, 0, "block {nth}");
+            assert!(t.full > 0, "block {nth}: siblings full");
+            assert_eq!(rs, rb, "block {nth}: exit/steps");
+            assert_eq!(ms.output, mb.output, "block {nth}");
+            assert_eq!(ms.regs, mb.regs, "block {nth}");
+            assert_eq!(ms.flags, mb.flags, "block {nth}");
+            assert_eq!(format!("{ss:?}"), format!("{sb:?}"), "block {nth}: events");
         }
     }
 
-    /// Tier counters are cumulative across cache rebuilds: an
-    /// [`ensure_span`](BlockCache::ensure_span) mode switch clears the
-    /// pools but neither the counters nor an armed fault.
+    /// Tier counters are cumulative across cache rebuilds: neither
+    /// [`ensure_span`](BlockCache::ensure_span)'s span setup nor an SMC
+    /// reclaim of the pools clears the counters or an armed fault.
     #[test]
     fn tier_counts_survive_cache_rebuilds() {
-        let elf = tiered_elf();
+        // Eight bytes of nop padding at the text base, never executed,
+        // then: A: mov r10, base; mov rcx, 5; jmp B
+        //       B: store [r10], rcx (patches the padding); mov rax, 60;
+        //          mov rdi, 3; syscall
+        // The store dirties the cache mid-B, so the tail of B
+        // retranslates as block C after the pools are reclaimed.
+        let base = 0x400000u64;
+        let entry = base + 8;
+        let build = |b: u64| {
+            vec![
+                Inst::MovRI {
+                    dst: Reg::R10,
+                    imm: base as i64,
+                },
+                Inst::MovRI {
+                    dst: Reg::Rcx,
+                    imm: 5,
+                },
+                Inst::Jmp {
+                    target: Target::Addr(b),
+                    width: bolt_isa::JumpWidth::Near,
+                },
+                Inst::Store {
+                    mem: Mem::base(Reg::R10, 0),
+                    src: Reg::Rcx,
+                },
+                Inst::MovRI {
+                    dst: Reg::Rax,
+                    imm: 60,
+                },
+                Inst::MovRI {
+                    dst: Reg::Rdi,
+                    imm: 3,
+                },
+                Inst::Syscall,
+            ]
+        };
+        let len = |i: &Inst| bolt_isa::encoded_len(i) as u64;
+        let probe = build(entry);
+        let b_entry = entry + probe[..3].iter().map(len).sum::<u64>();
+        let mut code = vec![0x90; 8];
+        code.extend(asm(&build(b_entry), entry));
+        let mut elf = bolt_elf::Elf::new(entry);
+        elf.sections
+            .push(bolt_elf::Section::code(".text", base, code));
+
         let mut m = Machine::new();
         m.load_elf(&elf);
         m.inject_translation_fault(0, InjectedFault::SemInvalid);
-        m.run_engine(&mut NullSink, u64::MAX, Engine::Block)
-            .unwrap();
-        let after_first = m.tier_counts();
+        let r = m.run_engine(&mut NullSink, u64::MAX, Engine::Uop).unwrap();
+        assert_eq!(r.exit, Exit::Exited(3));
+        assert_eq!(m.mem.read_u64(base), 5, "the store patched the text");
+        let t = m.tier_counts();
+        assert_eq!(t.step, 1, "armed fault survived the span setup: A stepped");
         assert_eq!(
-            after_first.step, 1,
-            "armed fault survived load_elf's span setup"
+            t.full, 2,
+            "B before the reclaim and C after it both counted"
         );
-        // Re-running under a different mode rebuilds the pools; the
-        // counters keep accumulating on top of the first run's.
-        m.rip = 0x400000;
-        m.set_reg(Reg::Rsp, STACK_TOP - 64);
-        m.run_engine(&mut NullSink, u64::MAX, Engine::Superblock)
-            .unwrap();
-        let after_second = m.tier_counts();
-        assert_eq!(after_second.step, after_first.step);
-        assert!(after_second.full > after_first.full);
+        assert_eq!(m.blocks.lookup(entry), None, "A died with the reclaim");
     }
 }

@@ -12,23 +12,23 @@
 //!   liveness barriers, block exit) — this is where a dead-marked live
 //!   flag writer surfaces,
 //! * the *ordered* list of symbolic memory effects (address, width,
-//!   value) — which also proves the superblock tier's recorded shape
-//!   list announces the interleaved event order faithfully,
+//!   value) — which also proves the recorded shape list announces the
+//!   interleaved event order faithfully,
 //! * the terminator's condition/target expression.
 //!
 //! The reference side is always a fresh decode of the block's bytes, so
 //! the check catches corruption anywhere downstream of the decoder: a
 //! cached instruction pool that drifted from the bytes, a micro-op
-//! lowering bug, a bad liveness mark, a wrong shape record. Structural
-//! validation (`uop::validate_block`) checks the pools against *each
-//! other*; this layer checks them against *meaning*.
+//! lowering bug, a bad liveness mark, a wrong shape record — even when
+//! the pools are consistent with *each other*, because this layer
+//! checks them against *meaning*.
 //!
 //! Enabled per-translation via `BOLT_SEM_VALIDATE=1` /
 //! `bolt-run --validate-semantics` (each block proven once, when it is
 //! translated), or offline over raw code bytes via [`validate_code`]
 //! (the `bolt -verify-sem` sweep).
 
-use crate::block::{BlockCache, MemShape, TranslationMode};
+use crate::block::{BlockCache, MemShape};
 use crate::exec::EmuError;
 use crate::memory::Memory;
 use crate::symexec::{sym_block_insts, sym_block_uops, SymState};
@@ -103,8 +103,7 @@ impl fmt::Display for SemFinding {
 /// fresh decode of the block's bytes). `cached` is the translation's
 /// instruction pool; `uops`, when present, is the parallel micro-op
 /// pool (uop tier) and becomes the evaluated side; `shapes`, when
-/// present, is the recorded static memory-shape list (spanning tiers)
-/// and is checked against the reference's effect order. Returns every
+/// present, is the recorded static memory-shape list and is checked against the reference's effect order. Returns every
 /// disagreement found (empty = proven equivalent).
 pub fn validate_translation(
     entry: u64,
@@ -139,7 +138,7 @@ pub fn validate_translation(
     compare_states(entry, &a, &b, &mut out);
     if let Some(shapes) = shapes {
         // The recorded shape list announces the D-side event order to
-        // the superblock engine's batched charging; prove it against
+        // the engine's batched charging; prove it against
         // the reference's symbolic effect list.
         let want: Vec<(u32, bool)> = a.effects.iter().map(|e| (e.inst, e.write)).collect();
         let got: Vec<(u32, bool)> = shapes.iter().map(|s| (s.inst, s.write)).collect();
@@ -325,7 +324,7 @@ fn rw(write: bool) -> &'static str {
 }
 
 // ---------------------------------------------------------------------------
-// Process-wide knob, mirroring the structural validator's.
+// Process-wide knob.
 
 /// 0 = unresolved, 1 = off, 2 = on.
 static SEM_VALIDATE: AtomicU8 = AtomicU8::new(0);
@@ -351,37 +350,33 @@ pub fn sem_validation_enabled() -> bool {
     }
 }
 
-/// Sweeps `code` (placed at `base`) through every translation tier —
-/// block, superblock, and uop — walking block to block and proving each
-/// translation against a fresh decode of its bytes. The offline entry
-/// point behind `bolt -verify-sem`.
+/// Sweeps `code` (placed at `base`) block to block, proving each
+/// translation against a fresh decode of its bytes at both tiers the
+/// engine can execute it at — the lowered micro-ops and the decoded
+/// instructions of the [`BlockTier::Decoded`](crate::BlockTier)
+/// fallback. The offline entry point behind `bolt -verify-sem`.
 pub fn validate_code(code: &[u8], base: u64) -> Vec<SemFinding> {
     let mut out = Vec::new();
-    for mode in [
-        TranslationMode::Block,
-        TranslationMode::Superblock,
-        TranslationMode::Uop,
-    ] {
-        let mut mem = Memory::new();
-        mem.write(base, code);
-        let mut cache = BlockCache::default();
-        cache.ensure_span(base, code.len(), mode);
-        let mut at = base;
-        while at < base + code.len() as u64 {
-            let idx = match cache.translate(&mem, at) {
-                Ok(idx) => idx,
-                // Padding or data between functions: skip a byte and
-                // try the next offset, as the offline sweep has no
-                // control flow to follow.
-                Err(EmuError::BadInstruction { .. }) => {
-                    at += 1;
-                    continue;
-                }
-                Err(_) => break,
-            };
-            out.extend(cache.validate_semantics(&mem, idx));
-            at += cache.byte_len(idx).max(1);
-        }
+    let mut mem = Memory::new();
+    mem.write(base, code);
+    let mut cache = BlockCache::default();
+    cache.ensure_span(base, code.len());
+    let mut at = base;
+    while at < base + code.len() as u64 {
+        let idx = match cache.translate(&mem, at) {
+            Ok(idx) => idx,
+            // Padding or data between functions: skip a byte and try
+            // the next offset, as the offline sweep has no control flow
+            // to follow.
+            Err(EmuError::BadInstruction { .. }) => {
+                at += 1;
+                continue;
+            }
+            Err(_) => break,
+        };
+        out.extend(cache.validate_tier(&mem, idx, true));
+        out.extend(cache.validate_tier(&mem, idx, false));
+        at += cache.byte_len(idx).max(1);
     }
     out
 }
@@ -433,7 +428,7 @@ mod tests {
         let (uops, shapes) = faithful(&insts);
         let f = validate_translation(0x400000, &insts, &insts, Some(&uops), Some(&shapes));
         assert!(f.is_empty(), "unexpected findings: {f:?}");
-        // Same without the uop pool (block/superblock tiers).
+        // Same without the uop pool (the decoded tier).
         let f = validate_translation(0x400000, &insts, &insts, None, Some(&shapes));
         assert!(f.is_empty(), "unexpected findings: {f:?}");
     }
@@ -456,6 +451,40 @@ mod tests {
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].kind, SemFindingKind::RegMismatch);
         assert_eq!(f[0].inst, 0);
+
+        // A drifted micro-op pool over a faithful instruction pool: a
+        // swapped register index, a corrupted immediate, and a live flag
+        // writer marked dead (the `je` consumes the `cmp`'s flags).
+        let insts = with_len(&[
+            Inst::AluI {
+                op: AluOp::Cmp,
+                dst: Reg::Rax,
+                imm: 4,
+            },
+            Inst::Jcc {
+                cond: Cond::E,
+                target: Target::Addr(0x400000),
+                width: Default::default(),
+            },
+        ]);
+        let (uops, shapes) = faithful(&insts);
+        let mut swapped = uops.clone();
+        swapped[0].a = Reg::Rbx.num();
+        let mut imm = uops.clone();
+        imm[0].imm = 5;
+        let mut dead = uops.clone();
+        dead[0].fl = false;
+        for (what, bad) in [
+            ("swapped register", swapped),
+            ("corrupted immediate", imm),
+            ("flags-dead live writer", dead),
+        ] {
+            let f = validate_translation(0x400000, &insts, &insts, Some(&bad), Some(&shapes));
+            assert!(
+                f.iter().any(|f| f.kind == SemFindingKind::FlagMismatch),
+                "{what}: the jcc observes different flags, got {f:?}"
+            );
+        }
     }
 
     #[test]
@@ -482,7 +511,7 @@ mod tests {
     fn offline_sweep_is_clean_on_real_encodings() {
         // A small function with a loop, flags consumed across
         // instructions, and stack traffic — encoded to real bytes and
-        // swept through all three tiers.
+        // swept through both tiers.
         let insts = [
             Inst::Push(Reg::Rbx),
             Inst::MovRI {

@@ -42,9 +42,10 @@ pub struct BoltOutput {
     /// [`PipelineResult::findings`](bolt_passes::PipelineResult).
     pub verify: Option<VerifyReport>,
     /// Symbolic translation validation of the rewritten binary
-    /// (`-verify-sem`): every emitted function's bytes translated under
-    /// each emulation tier and proven semantically equivalent to a
-    /// fresh decode.
+    /// (`-verify-sem`): every emitted function's bytes translated block
+    /// by block, and both execution tiers of each block (micro-ops and
+    /// decoded instructions) proven semantically equivalent to a fresh
+    /// decode.
     pub verify_sem: Option<VerifyReport>,
     /// What the fault-tolerance ladder did: every per-function
     /// demotion (layout-only, quarantine) and disabled pass, with the

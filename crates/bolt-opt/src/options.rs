@@ -44,15 +44,13 @@ pub struct BoltOptions {
     /// byte-identical at any worker count.
     pub shards: usize,
     /// Emulation engine for the measurement side
-    /// (`-engine=step|block|superblock|uop`). `None` (default) resolves
-    /// to the `BOLT_ENGINE` environment override or per-instruction
-    /// stepping. Like `shards`, rewriting never consults this; every
-    /// engine produces byte-identical profiles, counters, and program
-    /// output — `block` is `bolt-emu`'s basic-block translation cache,
-    /// `superblock` additionally spans memory-touching instructions and
-    /// chains block transitions, `uop` further lowers each block to
-    /// pre-resolved micro-ops with lazy flags, each faster than the
-    /// last.
+    /// (`-engine=step|uop`). `None` (default) resolves to the
+    /// `BOLT_ENGINE` environment override or per-instruction stepping.
+    /// Like `shards`, rewriting never consults this; both engines
+    /// produce byte-identical profiles, counters, and program output —
+    /// `uop` is `bolt-emu`'s chained basic-block translation cache with
+    /// each block lowered to pre-resolved micro-ops and lazy flags, the
+    /// faster of the two.
     pub engine: Option<bolt_emu::Engine>,
     /// Skip repeated pipeline registrations of a pass whose earlier
     /// instance reported zero changes this run (`-skip-unchanged`), e.g.
@@ -70,9 +68,10 @@ pub struct BoltOptions {
     /// Implies `verify`.
     pub verify_each: bool,
     /// Run the symbolic translation validator (`-verify-sem`): every
-    /// emitted function's bytes are translated under each emulation
-    /// tier and each translation proven semantically equivalent to a
-    /// fresh decode. Findings land in
+    /// emitted function's bytes are translated block by block, and both
+    /// execution tiers of each block (micro-ops and decoded
+    /// instructions) proven semantically equivalent to a fresh decode.
+    /// Findings land in
     /// [`crate::BoltOutput::verify_sem`].
     pub verify_sem: bool,
     /// Fault injection (`-poison-pass=N`): register a pass whose

@@ -9,10 +9,10 @@
 //! [`SemMutation`] plays the same role one layer down, for the
 //! *semantic* translation validator: each variant corrupts an emulator
 //! translation (the decoded instruction pool, the parallel micro-op
-//! pool, and the recorded memory shapes) **consistently**, so the
-//! structural cross-check (`bolt_emu::validate_block`) still accepts it
-//! — only comparing against the meaning of the original bytes, as the
-//! symbolic validator does, can catch it.
+//! pool, and the recorded memory shapes) **consistently**, so a check
+//! of the pools against each other would still accept it — only
+//! comparing against the meaning of the original bytes, as the symbolic
+//! validator does, can catch it.
 
 use crate::FindingKind;
 use bolt_elf::{Elf, SymKind};
@@ -347,9 +347,8 @@ fn overlap_symbols(elf: &mut Elf) -> Option<String> {
 
 /// One kind of seeded translation defect: a corruption of an emulator
 /// block translation that stays *internally consistent* — the micro-op
-/// pool faithfully mirrors the (corrupted) instruction pool, so the
-/// structural validator accepts it — but no longer means what the
-/// original bytes mean.
+/// pool faithfully mirrors the (corrupted) instruction pool — but no
+/// longer means what the original bytes mean.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SemMutation {
     /// A `mov` lands in the wrong destination register in both pools.
@@ -365,10 +364,9 @@ pub enum SemMutation {
     /// its micro-op a `Nop`, as if the liveness pass had wrongly marked
     /// it dead and the lowering had elided it.
     DeadFlagWriter,
-    /// Two adjacent recorded memory shapes swap places — the pools the
-    /// structural validator checks are untouched; only the shape list
-    /// (which announces D-side event order to the superblock engine)
-    /// lies.
+    /// Two adjacent recorded memory shapes swap places — the
+    /// instruction and micro-op pools are untouched; only the shape list
+    /// (which announces D-side event order to the uop engine) lies.
     ReorderedMemEffect,
     /// A conditional branch tests the inverted condition in both pools.
     WrongCondCode,
@@ -425,8 +423,7 @@ impl fmt::Display for SemMutation {
 /// `insts` and `uops` are the parallel pools, `shapes` the recorded
 /// memory shapes — returning a description of the corruption, or `None`
 /// when the block has no applicable site. The corruption is always
-/// consistent across the pools: `bolt_emu::validate_block` must keep
-/// accepting the result.
+/// consistent across the pools.
 pub fn apply_sem_mutation(
     m: SemMutation,
     insts: &mut [(Inst, u8)],
@@ -486,10 +483,9 @@ pub fn apply_sem_mutation(
             Some(desc)
         }
         SemMutation::DeadFlagWriter => {
-            // The site must be a live (`fl`) shift whose elision the
-            // structural liveness re-derivation cannot see through:
-            // every earlier flag writer must itself be live, so demand
-            // flowing back past the elided site meets no dead mark.
+            // The site must be a live (`fl`) shift, and every earlier
+            // flag writer must itself be live, so the dropped write is
+            // the block's only liveness defect.
             let i = (0..insts.len()).find(|&i| {
                 matches!(insts[i].0, Inst::Shift { amount, .. } if amount & 63 != 0)
                     && uops[i].fl
@@ -524,7 +520,7 @@ pub fn apply_sem_mutation(
             );
             // `amount & 63 == 0` shifts write neither register nor
             // flags, so the faithful lowering of the corrupted
-            // instruction *is* a dead `Nop` — structurally perfect,
+            // instruction *is* a dead `Nop` — consistent across the pools,
             // semantically a dropped live flag write.
             *amount = 64;
             let len = uops[i].len;

@@ -18,9 +18,9 @@ use bolt_ir::BinaryContext;
 use std::time::Instant;
 
 /// Symbolically validates every emitted function of `elf`: each
-/// function's bytes are translated block by block under every
-/// translation tier (block, superblock, uop) and each translation is
-/// proven semantically equivalent to a fresh decode of its bytes. A
+/// function's bytes are translated block by block, and each block's
+/// micro-ops and its decoded-instruction fallback are proven
+/// semantically equivalent to a fresh decode of its bytes. A
 /// clean report means the emulator's translation layers preserve step
 /// semantics on exactly the code this binary will run.
 pub fn verify_semantics(elf: &Elf, ctx: &BinaryContext) -> VerifyReport {

@@ -7,7 +7,7 @@
 //! dispatch path: a jump-table `switch` over a skewed opcode stream
 //! (`vm_step`), immediately followed by a function-pointer dispatch to
 //! the same handler set (`vm_indirect`). Both sites resolve a *different*
-//! target nearly every execution, so the superblock engine's two-slot
+//! target nearly every execution, so the uop engine's two-slot
 //! chain links thrash and every transition falls back to the entry-index
 //! lookup — while the uop tier still wins on the dispatch blocks
 //! themselves (pre-resolved operands, no wide `Inst` match, lazy flags

@@ -34,14 +34,13 @@ fn usage() -> ! {
            \x20   (measurement-side emulation shard count, recorded on\n\
            \x20   BoltOptions for profiling harnesses; 0 = auto [BOLT_SHARDS\n\
            \x20   env or 1]. Rewriting is unaffected — see bolt-run --shards)\n\
-           -engine=step|block|superblock|uop\n\
+           -engine=step|uop\n\
            \x20   (measurement-side emulation engine, recorded on BoltOptions\n\
            \x20   for profiling harnesses; default follows the BOLT_ENGINE env\n\
-           \x20   override or `step`. Byte-identical results under every\n\
-           \x20   engine — block translates basic blocks, superblock spans\n\
-           \x20   memory ops and chains blocks, uop additionally lowers to\n\
-           \x20   pre-resolved micro-ops with lazy flags, each faster than\n\
-           \x20   the last. See bolt-run --engine)\n\
+           \x20   override or `step`. Byte-identical results under both\n\
+           \x20   engines — uop translates chained basic blocks lowered to\n\
+           \x20   pre-resolved micro-ops with lazy flags, and is faster.\n\
+           \x20   See bolt-run --engine)\n\
            -skip-unchanged\n\
            \x20   (skip repeated pipeline registrations of a pass whose earlier\n\
            \x20   instance reported zero changes this run, e.g. the second icf\n\
@@ -55,8 +54,8 @@ fn usage() -> ! {
            \x20   pinpointing the pass that broke an invariant)\n\
            -verify-sem\n\
            \x20   (symbolic translation validation: every emitted function's\n\
-           \x20   bytes are translated under each emulation tier — block,\n\
-           \x20   superblock, uop — and each translation is proven\n\
+           \x20   bytes are translated block by block, and each block's\n\
+           \x20   micro-ops and its decoded-instruction fallback are proven\n\
            \x20   semantically equivalent to a fresh decode of its bytes;\n\
            \x20   any finding fails the run)\n\
            -verify-json\n\

@@ -1,18 +1,19 @@
-//! Engine invariance: the block-translation engines (`--engine=block`,
-//! `--engine=superblock`, and `--engine=uop` / `BOLT_ENGINE`) must be
-//! *observationally identical* to the per-instruction step engine —
-//! byte-identical `Counters`, merged `Profile`, recorded program
-//! output, and rewritten ELF — the same way
+//! Engine invariance: the block-translation engine (`--engine=uop` /
+//! `BOLT_ENGINE`) must be *observationally identical* to the
+//! per-instruction step engine — byte-identical `Counters`, merged
+//! `Profile`, recorded program output, and rewritten ELF — the same way
 //! `tests/thread_invariance.rs` proves thread-count invariance and
 //! `tests/shard_invariance.rs` proves shard-count invariance. The sweep
-//! is four-way at 1 and 8 shards, and covers self-modifying text (block
-//! chain links, translations, and lowered micro-ops must all drop),
-//! step budgets landing mid-(super)block, and the uop engine's lazy
-//! flags surviving chained block transitions.
+//! runs at 1 and 8 shards, and covers self-modifying text (block chain
+//! links, translations, and lowered micro-ops must all drop), step
+//! budgets landing mid-block, and the uop engine's lazy flags surviving
+//! chained block transitions. The adversarial programs also run with
+//! each translation in turn forced down to the decoded-instruction
+//! tier, the fallback a block takes when its micro-ops fail validation.
 
 use bolt::compiler::{compile_and_link, CompileOptions};
 use bolt::elf::{write_elf, Elf, Section};
-use bolt::emu::{CountingSink, Engine, Exit, Machine, NullSink};
+use bolt::emu::{CountingSink, Engine, Exit, InjectedFault, Machine, NullSink, RunResult};
 use bolt::workloads::{Scale, Workload};
 use bolt_bench::{bolt_with_profile, measure_batch_with, profile_lbr_batch_with, shard_plan};
 use bolt_isa::{encode_at, AluOp, Cond, Inst, JumpWidth, Mem, Reg, Target};
@@ -49,13 +50,13 @@ fn prepare_for(elf: &Elf) -> impl Fn(usize, &mut Machine) + Sync + '_ {
     }
 }
 
-/// The acceptance property: profile + measure `elf` under all four
-/// engines at `shards` shards and assert every observable is
+/// The acceptance property: profile + measure `elf` under both engines
+/// at `shards` shards and assert every observable is
 /// byte-identical, then prove the rewritten ELFs match byte for byte.
 fn assert_engine_invariant(elf: &Elf, shards: usize, what: &str) {
     let cfg = SimConfig::small();
     let mut legs = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock, Engine::Uop] {
+    for engine in [Engine::Step, Engine::Uop] {
         let plan = shard_plan(shards, 2).with_engine(engine);
         let (profile, batch) = profile_lbr_batch_with(elf, &cfg, &plan, prepare_for(elf));
         let measured = measure_batch_with(elf, &cfg, &plan, prepare_for(elf));
@@ -109,6 +110,39 @@ fn clang_workload_identical_across_engines_at_1_and_8_shards() {
     for shards in [1usize, 8] {
         assert_engine_invariant(clang_fixture(), shards, "clang-like");
     }
+}
+
+/// Runs `elf` on a fresh machine under `engine` for at most `budget`
+/// steps. `decoded: Some(nth)` forces the `nth` block translation down
+/// to the decoded-instruction tier, as a uop-tier validation failure
+/// would.
+fn run(
+    elf: &Elf,
+    engine: Engine,
+    budget: u64,
+    decoded: Option<u64>,
+) -> (RunResult, Machine, CountingSink) {
+    let mut m = Machine::new();
+    m.load_elf(elf);
+    if let Some(nth) = decoded {
+        m.inject_translation_fault(nth, InjectedFault::UopInvalid);
+    }
+    let mut sink = CountingSink::default();
+    let r = m.run_engine(&mut sink, budget, engine).expect("runs");
+    if decoded.is_some() {
+        assert_eq!(
+            m.tier_counts().decoded,
+            1,
+            "translation {decoded:?} ran at the decoded tier"
+        );
+    }
+    (r, m, sink)
+}
+
+/// How many block translations a clean uop run of `elf` within `budget`
+/// performs: the translation indices a decoded-tier fault can hit.
+fn translations(elf: &Elf, budget: u64) -> u64 {
+    run(elf, Engine::Uop, budget, None).1.tier_counts().full
 }
 
 /// Assembles `insts` contiguously at `base`, returning the bytes and the
@@ -237,35 +271,38 @@ fn self_modifying_elf() -> Elf {
     elf
 }
 
-/// Self-modifying text under every engine: the block engines must drop
-/// their translations — and, under `superblock`, the chain links that
-/// die with them — when a store patches cached code, or the second call
-/// would observably execute stale bytes.
+/// Self-modifying text under both engines: the uop engine must drop its
+/// translations — and the chain links that die with them — when a store
+/// patches cached code, or the second call would observably execute
+/// stale bytes. The same holds whichever block runs at the decoded
+/// tier.
 #[test]
 fn self_modifying_text_forces_block_invalidation() {
     let elf = self_modifying_elf();
-    let mut outputs = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock, Engine::Uop] {
-        let mut m = Machine::new();
-        m.load_elf(&elf);
-        let mut sink = CountingSink::default();
-        let r = m.run_engine(&mut sink, 10_000, engine).expect("runs");
-        assert_eq!(r.exit, Exit::Exited(0), "{engine}");
+    let observe = |engine: Engine, decoded: Option<u64>| {
+        let (r, m, sink) = run(&elf, engine, 10_000, decoded);
+        assert_eq!(r.exit, Exit::Exited(0), "{engine} decoded {decoded:?}");
         assert_eq!(
             m.output,
             vec![1, 2],
-            "{engine}: second call must observe the patched code"
+            "{engine} decoded {decoded:?}: second call must observe the patched code"
         );
-        outputs.push((r, m.output.clone(), m.regs, sink.insts, sink.branches));
+        (r, m.output.clone(), m.regs, sink.insts, sink.branches)
+    };
+    let step = observe(Engine::Step, None);
+    assert_eq!(step, observe(Engine::Uop, None), "uop engine agrees on SMC");
+    for nth in 0..translations(&elf, 10_000) {
+        assert_eq!(
+            step,
+            observe(Engine::Uop, Some(nth)),
+            "translation {nth} at the decoded tier agrees on SMC"
+        );
     }
-    assert_eq!(outputs[0], outputs[1], "block engine agrees on SMC");
-    assert_eq!(outputs[0], outputs[2], "superblock engine agrees on SMC");
-    assert_eq!(outputs[0], outputs[3], "uop engine agrees on SMC");
 }
 
-/// The step-accounting satellite at harness level: a budget landing
-/// mid-block must stop at exactly the same retired count, rip, and
-/// partial output under every engine.
+/// Step accounting at harness level: a budget landing mid-block must
+/// stop at exactly the same retired count, rip, and partial output
+/// under both engines.
 #[test]
 fn max_steps_budget_lands_identically_inside_blocks() {
     let elf = tao_fixture();
@@ -279,17 +316,11 @@ fn max_steps_budget_lands_identically_inside_blocks() {
         .steps;
     for budget in (13..full).step_by((full / 7).max(1) as usize) {
         let observe = |engine: Engine| {
-            let mut m = Machine::new();
-            m.load_elf(elf);
-            let mut sink = CountingSink::default();
-            let r = m.run_engine(&mut sink, budget, engine).expect("runs");
+            let (r, m, sink) = run(elf, engine, budget, None);
             (r, m.rip, m.output.clone(), m.regs, sink.insts)
         };
         let step = observe(Engine::Step);
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-            let leg = observe(engine);
-            assert_eq!(step, leg, "{engine} budget {budget}");
-        }
+        assert_eq!(step, observe(Engine::Uop), "budget {budget}");
         assert_eq!(step.0.exit, Exit::MaxSteps, "budget {budget} is partial");
         assert_eq!(step.0.steps, budget, "stopped exactly at the budget");
     }
@@ -302,7 +333,8 @@ fn max_steps_budget_lands_identically_inside_blocks() {
 /// lazy state must survive the chain link and materialize to exactly
 /// the step engine's flags; the final architectural `Machine::flags`
 /// must also match on exit (the run ends with flags still pending from
-/// the uop hot loop's perspective).
+/// the uop hot loop's perspective). With any one block at the decoded
+/// tier, the flags cross the transition between eager and lazy code.
 #[test]
 fn lazy_flags_survive_chained_block_transitions() {
     let base = 0x400000u64;
@@ -390,40 +422,45 @@ fn lazy_flags_survive_chained_block_transitions() {
     let mut elf = Elf::new(base);
     elf.sections.push(Section::code(".text", base, code));
 
-    let mut legs = Vec::new();
-    for engine in [Engine::Step, Engine::Block, Engine::Superblock, Engine::Uop] {
-        let mut m = Machine::new();
-        m.load_elf(&elf);
-        let mut sink = CountingSink::default();
-        let r = m.run_engine(&mut sink, 10_000, engine).expect("runs");
-        assert_eq!(r.exit, Exit::Exited(0), "{engine}");
+    let observe = |engine: Engine, decoded: Option<u64>| {
+        let (r, m, sink) = run(&elf, engine, 10_000, decoded);
+        assert_eq!(r.exit, Exit::Exited(0), "{engine} decoded {decoded:?}");
         assert_eq!(
             m.output,
             vec![2],
-            "{engine}: setcc across the chained transition counted the ne iterations"
+            "{engine} decoded {decoded:?}: setcc across the chained transition \
+             counted the ne iterations"
         );
-        legs.push((
+        (
             r,
             m.output.clone(),
             m.regs,
             m.flags,
             sink.insts,
             sink.branches,
-        ));
-    }
-    for leg in &legs[1..] {
+        )
+    };
+    let step = observe(Engine::Step, None);
+    assert_eq!(
+        step,
+        observe(Engine::Uop, None),
+        "engines agree, including final architectural flags"
+    );
+    for nth in 0..translations(&elf, 10_000) {
         assert_eq!(
-            &legs[0], leg,
-            "every engine agrees, including final architectural flags"
+            step,
+            observe(Engine::Uop, Some(nth)),
+            "translation {nth} at the decoded tier agrees, including final flags"
         );
     }
 }
 
 /// The mid-*superblock* boundary sweep: the straight-line-heavy
-/// workload's loop body is a single ~60-instruction superblock, so
-/// budgets striding one body-length probe every intra-superblock offset
-/// — each must retire exactly `budget` instructions, at the same rip,
-/// with the same partial observables, under all four engines.
+/// workload's loop body is a single ~60-instruction block spanning its
+/// memory accesses, so budgets striding one body-length probe every
+/// intra-block offset — each must retire exactly `budget` instructions,
+/// at the same rip, with the same partial observables, under both
+/// engines and with each translation in turn at the decoded tier.
 #[test]
 fn max_steps_budget_lands_identically_inside_superblocks() {
     let elf = bolt_bench::straightline_elf(40);
@@ -434,13 +471,10 @@ fn max_steps_budget_lands_identically_inside_superblocks() {
         .expect("runs")
         .steps;
     // One loop iteration's instruction count: stride budgets by a prime
-    // near it so the cut point walks through the superblock body.
+    // near it so the cut point walks through the block body.
     for budget in (5..full).step_by(59) {
-        let observe = |engine: Engine| {
-            let mut m = Machine::new();
-            m.load_elf(&elf);
-            let mut sink = CountingSink::default();
-            let r = m.run_engine(&mut sink, budget, engine).expect("runs");
+        let observe = |engine: Engine, decoded: Option<u64>| {
+            let (r, m, sink) = run(&elf, engine, budget, decoded);
             (
                 r,
                 m.rip,
@@ -450,16 +484,21 @@ fn max_steps_budget_lands_identically_inside_superblocks() {
                 sink.mem_writes,
             )
         };
-        let step = observe(Engine::Step);
+        let step = observe(Engine::Step, None);
         assert_eq!(step.0.steps, budget, "budget {budget}: exact retired count");
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-            assert_eq!(step, observe(engine), "{engine} budget {budget}");
+        assert_eq!(step, observe(Engine::Uop, None), "budget {budget}");
+        for nth in 0..translations(&elf, budget) {
+            assert_eq!(
+                step,
+                observe(Engine::Uop, Some(nth)),
+                "budget {budget}, translation {nth} at the decoded tier"
+            );
         }
     }
 }
 
 /// The `--validate-semantics` leg: with symbolic translation validation
-/// enabled, every block the translation engines pack — across all four
+/// enabled, every block the uop engine packs — across all four
 /// workloads — must be *proven* semantically equivalent to the step
 /// semantics of a fresh decode at translate time. A disagreement no
 /// longer aborts the run: the block degrades to a lower execution tier
@@ -492,21 +531,19 @@ fn all_workloads_translate_clean_under_semantic_validation() {
                 .expect("runs");
             (r.exit, m.output)
         };
-        for engine in [Engine::Block, Engine::Superblock, Engine::Uop] {
-            let mut m = Machine::new();
-            m.load_elf(elf);
-            let r = m
-                .run_engine(&mut NullSink, u64::MAX, engine)
-                .expect("runs (every translated block proved equivalent)");
-            let tiers = m.tier_counts();
-            assert_eq!((r.exit, m.output), reference, "{what}/{engine}");
-            assert_eq!(
-                tiers.degraded(),
-                0,
-                "{what}/{engine}: clean translations never degrade ({tiers:?})"
-            );
-            assert!(tiers.full > 0, "{what}/{engine}: blocks were translated");
-        }
+        let mut m = Machine::new();
+        m.load_elf(elf);
+        let r = m
+            .run_engine(&mut NullSink, u64::MAX, Engine::Uop)
+            .expect("runs (every translated block proved equivalent)");
+        let tiers = m.tier_counts();
+        assert_eq!((r.exit, m.output), reference, "{what}");
+        assert_eq!(
+            tiers.degraded(),
+            0,
+            "{what}: clean translations never degrade ({tiers:?})"
+        );
+        assert!(tiers.full > 0, "{what}: blocks were translated");
     }
 }
 
